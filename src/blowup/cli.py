@@ -101,7 +101,17 @@ def _as_int(value, where):
 def _as_number(value, where):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ManifestError("%s must be a number" % where)
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ManifestError("%s must be finite" % where)
+    return number
+
+
+def _reject_constant(name):
+    raise ManifestError("manifest holds the non-finite number %s" % name)
 
 
 def _as_rational(value, where):
@@ -117,7 +127,7 @@ def load_manifest(path):
     """Parse and validate a manifest file; raises ManifestError."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
+            raw = json.load(handle, parse_constant=_reject_constant)
     except OSError as exc:
         raise ManifestError("cannot read manifest: %s" % exc) from None
     except json.JSONDecodeError as exc:
@@ -266,14 +276,10 @@ def _beta_invariants_check(params, grid=10_000):
     value_r, _ = beta_profile(params.r, params)
     s = np.linspace(params.r / grid, params.r, grid)
     _, slope = beta_profile(s, params)
-    deviation = max(
-        abs(value0 - params.rho),
-        abs(value_r - params.r),
-        max(0.0, float(np.max(slope)) - 1.0),
-        max(0.0, -float(np.min(slope))),
-    )
+    deviation = np.max([abs(value0 - params.rho), abs(value_r - params.r),
+                        np.max(slope) - 1.0, -np.min(slope), 0.0])
     return CheckResult(check="beta-profile", samples=grid,
-                       max_deviation=deviation, tolerance=1e-12)
+                       max_deviation=float(deviation), tolerance=1e-12)
 
 
 def _verify_rows(manifest, params, which):
@@ -295,7 +301,7 @@ def _verify_rows(manifest, params, which):
             rows.append(row)
         if which in ("pullback", "all"):
             row = symplectic_pullback_check(
-                lambda z: unitary.apply(0.37, z), params, grid=150, seed=seed)
+                unitary.matrix(0.37), params, grid=150, seed=seed)
             row.check += label
             rows.append(row)
         if which in ("vector-field", "all"):

@@ -29,6 +29,15 @@ profiles such as rho=0.4, delta=0.2, r=1.
 Checks report a CheckResult carrying name, sample count, max deviation,
 tolerance, and a skipped-sample count; finite differences are central
 with step 1e-5.
+
+The batched chart kernel of the package lives here, and quadrature.py
+imports it: _realify/_complexify, the chart map _chart on (N, 2n) rows,
+the central-difference Jacobian _jacobian of a batched real map, and
+LocalHamiltonian.values.  Checks run it over all their seeded samples at
+once; per-point callables (a bare Hamiltonian, map_fn, matrix_fn) go
+through the row loop _rows.  symplectic_pullback_check takes its map as
+an (n, n) complex matrix or as such a callable.  Deviations are reduced
+with np.max, so a NaN sample gives a NaN deviation, which never passes.
 """
 
 from __future__ import annotations
@@ -76,6 +85,8 @@ class LocalModelParams:
         rho, delta, r = float(rho), float(delta), float(r)
         if n < 1:
             raise ValueError("need at least one complex coordinate")
+        if not all(math.isfinite(x) for x in (rho, delta, r)):
+            raise ValueError("rho, delta and r must be finite")
         if delta <= 0:
             raise ValueError("transition margin delta must be positive")
         if 2 * delta >= r:
@@ -158,6 +169,43 @@ def beta_profile(s, params):
     return value, deriv
 
 
+def _realify(points):
+    """(..., n) complex -> (..., 2n) real, ordered (x_1, y_1, ..., x_n, y_n)."""
+    out = np.empty(points.shape[:-1] + (2 * points.shape[-1],))
+    out[..., 0::2] = points.real
+    out[..., 1::2] = points.imag
+    return out
+
+
+def _complexify(coords):
+    return coords[..., 0::2] + 1j * coords[..., 1::2]
+
+
+def _chart(coords, params):
+    """Realified chart map on an (N, 2n) real array, rows nonzero."""
+    points = _complexify(coords)
+    radii = np.linalg.norm(coords, axis=-1)
+    value, _ = _profile_raw(radii, params)
+    return _realify(points * (value / radii)[..., None])
+
+
+def _jacobian(real_map, coords, step=FD_STEP):
+    """(N, 2n, 2n) central-difference Jacobians of a batched real map."""
+    count, dim = coords.shape
+    jac = np.empty((count, dim, dim))
+    for k in range(dim):
+        bump = np.zeros(dim)
+        bump[k] = step
+        jac[:, :, k] = (real_map(coords + bump)
+                        - real_map(coords - bump)) / (2 * step)
+    return jac
+
+
+def _rows(fn):
+    """Batched form of a per-point callable: fn applied to each row."""
+    return lambda points: np.array([fn(z) for z in points])
+
+
 def f_rho(z, params):
     """Chart map of the blow-down: z -> beta(|z|) z / |z|.
 
@@ -166,13 +214,9 @@ def f_rho(z, params):
     the identity exactly.
     """
     z = np.asarray(z, dtype=complex)
-    s = float(np.linalg.norm(z))
-    if s == 0.0:
+    if np.linalg.norm(z) == 0.0:
         raise ValueError("exceptional divisor has no chart image")
-    value, _ = _profile_raw(np.float64(s), params)
-    if float(value) == s:
-        return z
-    return (float(value) / s) * z
+    return _complexify(_chart(_realify(z[None]), params))[0]
 
 
 class DivisorDirection:
@@ -214,10 +258,14 @@ class LocalHamiltonian:
             return float(self.c(0.0 if t is None else t))
         return float(self.c)
 
-    def value(self, z, t=None):
-        z = np.asarray(z, dtype=complex)
-        quad = sum(m * abs(zj) ** 2 for m, zj in zip(self.weights, z))
+    def values(self, points, t=None):
+        """H on each row of an (N, n) complex array."""
+        weights = np.asarray(self.weights, dtype=float)
+        quad = np.abs(points) ** 2 @ weights
         return -math.pi * quad + self.constant(t)
+
+    def value(self, z, t=None):
+        return self.values(np.asarray(z, dtype=complex)[None], t)[0]
 
 
 def lifted_hamiltonian(h, point, params, t=None):
@@ -277,7 +325,8 @@ class UnitaryLoop:
     The diagonal loop of integer weights (m_1 .. m_n) sends z_j to
     exp(-2 pi i m_j t) z_j.  A general path may be supplied as a callable
     t -> (n x n) complex matrix; identity start and unitarity are
-    spot-checked to 1e-12 at construction.
+    spot-checked to 1e-12 at construction.  matrix and vector_field take
+    a scalar time or an array of times.
     """
 
     __slots__ = ("n", "weights", "_matrix_fn")
@@ -304,18 +353,32 @@ class UnitaryLoop:
         return cls(len(weights), weights=weights)
 
     def matrix(self, t):
-        if self.weights is not None:
-            return np.diag(np.exp(-2j * math.pi * np.asarray(self.weights) * t))
-        return np.asarray(self._matrix_fn(t), dtype=complex)
+        """psi_t, stacked to shape t.shape + (n, n) for an array of times."""
+        t = np.asarray(t, dtype=float)
+        shape = t.shape + (self.n, self.n)
+        if self.weights is None:
+            return np.asarray([self._matrix_fn(s) for s in t.ravel()],
+                              dtype=complex).reshape(shape)
+        out = np.zeros(shape, dtype=complex)
+        diag = np.arange(self.n)
+        out[..., diag, diag] = np.exp(
+            -2j * math.pi * np.asarray(self.weights) * t[..., None])
+        return out
 
     def apply(self, t, z):
         return self.matrix(t) @ np.asarray(z, dtype=complex)
 
     def vector_field(self, t, z, dt=FD_STEP):
-        """Time-dependent velocity field at z, by central t-differencing."""
-        z = np.asarray(z, dtype=complex)
-        base = np.linalg.solve(self.matrix(t), z)
-        return (self.apply(t + dt, base) - self.apply(t - dt, base)) / (2 * dt)
+        """Velocity field at z, by central t-differencing.
+
+        t may be an array of times and z a (..., n) stack of points whose
+        leading shape broadcasts against it.
+        """
+        t = np.asarray(t, dtype=float)
+        base = np.linalg.solve(self.matrix(t),
+                               np.asarray(z, dtype=complex)[..., None])
+        return ((self.matrix(t + dt) @ base - self.matrix(t - dt) @ base)
+                / (2 * dt))[..., 0]
 
 
 def _ball_samples(rng, count, n, radius, min_radius=0.0):
@@ -331,8 +394,7 @@ def _ball_samples(rng, count, n, radius, min_radius=0.0):
         if min_radius > 0:
             points = points[np.linalg.norm(points, axis=1) >= min_radius]
         take = min(count - have, len(points))
-        reals = points[:take]
-        out[have:have + take] = reals[:, 0::2] + 1j * reals[:, 1::2]
+        out[have:have + take] = _complexify(points[:take])
         have += take
     return out
 
@@ -347,64 +409,32 @@ def s1_invariance_check(h, samples=1000, seed=0, params=None):
     it produces.
     """
     if isinstance(h, LocalHamiltonian):
-        value = h.value
-        n = len(h.weights)
+        values, n = h.values, len(h.weights)
+    elif params is None:
+        raise ValueError("a bare callable needs params for the dimension")
     else:
-        if params is None:
-            raise ValueError("a bare callable needs params for the dimension")
-        value = h
-        n = params.n
+        values, n = _rows(h), params.n
     radius = params.r if params is not None else 1.0
     rng = np.random.default_rng(seed)
     points = _ball_samples(rng, samples, n, radius)
     phases = np.exp(2j * math.pi * rng.random(samples))
-    worst = 0.0
-    for z, lam in zip(points, phases):
-        worst = max(worst, abs(value(z) - value(lam * z)))
+    gaps = np.abs(values(points) - values(phases[:, None] * points))
     return CheckResult(
         check="s1-invariance",
         samples=samples,
-        max_deviation=float(worst),
+        max_deviation=float(np.max(gaps, initial=0.0)),
         tolerance=1e-12,
     )
-
-
-def _real_coords(z):
-    out = np.empty(2 * len(z))
-    out[0::2] = z.real
-    out[1::2] = z.imag
-    return out
-
-
-def _complex_coords(x):
-    return x[0::2] + 1j * x[1::2]
-
-
-def _standard_j(n):
-    j = np.zeros((2 * n, 2 * n))
-    for i in range(n):
-        j[2 * i, 2 * i + 1] = 1.0
-        j[2 * i + 1, 2 * i] = -1.0
-    return j
-
-
-def _jacobian_fd(map_fn, x, step=FD_STEP):
-    dim = len(x)
-    jac = np.empty((dim, dim))
-    for k in range(dim):
-        bump = np.zeros(dim)
-        bump[k] = step
-        jac[:, k] = (map_fn(x + bump) - map_fn(x - bump)) / (2 * step)
-    return jac
 
 
 def symplectic_pullback_check(map_fn, params, reference_form="blowup",
                               grid=500, seed=0, step=FD_STEP):
     """Check that a chart map preserves the reference symplectic structure.
 
-    reference_form selects the convention.  "blowup" treats map_fn as the
-    chart expression of a lifted map and combines two deviations per
-    sample z:
+    map_fn is an (n, n) complex matrix, applied to every sample at once,
+    or a callable of one point z.  reference_form selects the convention.
+    "blowup" treats map_fn as the chart expression of a lifted map and
+    combines two deviations per sample z:
 
       * conjugation: F(map(z)) versus map(F(z)), exact up to roundoff for
         unitary maps since those preserve |z|;
@@ -419,44 +449,46 @@ def symplectic_pullback_check(map_fn, params, reference_form="blowup",
     if reference_form not in ("blowup", "standard"):
         raise ValueError("reference_form must be 'blowup' or 'standard'")
     n = params.n
-    J = _standard_j(n)
+    if callable(map_fn):
+        apply = _rows(map_fn)
+    else:
+        matrix = np.asarray(map_fn, dtype=complex)
+        if matrix.shape != (n, n):
+            raise ValueError("map_fn must be a callable or an (n, n) matrix")
+        # a stack of matrix-vector products, bit for bit matrix @ z per row
+        apply = lambda points: (matrix @ points[..., None])[..., 0]
     if isinstance(grid, (int, np.integer)):
         rng = np.random.default_rng(seed)
         points = _ball_samples(rng, int(grid), n, params.r)
     else:
         points = np.asarray(grid, dtype=complex)
-    real_map = lambda x: _real_coords(np.asarray(map_fn(_complex_coords(x))))
-    conj_worst = 0.0
-    sympl_worst = 0.0
-    skipped = 0
-    for z in points:
-        if np.linalg.norm(z) < 1e-8:
-            skipped += 1
-            continue
-        if reference_form == "blowup":
-            image = np.asarray(map_fn(z), dtype=complex)
-            if np.linalg.norm(image) == 0.0:
-                conj_worst = math.inf
-            else:
-                dev = np.max(np.abs(
-                    f_rho(image, params) - np.asarray(map_fn(f_rho(z, params)))))
-                conj_worst = max(conj_worst, float(dev))
-            base_point = f_rho(z, params)
-        else:
-            base_point = z
-        jac = _jacobian_fd(real_map, _real_coords(base_point), step)
-        sympl_worst = max(sympl_worst, float(np.max(np.abs(jac.T @ J @ jac - J))))
-    extras = {"symplectic": sympl_worst}
-    worst = sympl_worst
+    near = np.linalg.norm(points, axis=-1) < 1e-8
+    points = points[~near]
+    extras = {"symplectic": 0.0}
     if reference_form == "blowup":
-        extras["conjugation"] = conj_worst
-        worst = max(worst, conj_worst)
+        extras["conjugation"] = 0.0
+    if len(points):
+        coords = _realify(points)
+        if reference_form == "blowup":
+            coords = _chart(coords, params)
+            images = apply(points)
+            moved = np.linalg.norm(images, axis=-1) != 0.0
+            gaps = np.full(len(points), math.inf)
+            gaps[moved] = np.max(np.abs(
+                _complexify(_chart(_realify(images[moved]), params))
+                - apply(_complexify(coords))[moved]), axis=-1)
+            extras["conjugation"] = float(np.max(gaps))
+        J = np.kron(np.eye(n), [[0.0, 1.0], [-1.0, 0.0]])
+        jac = _jacobian(lambda x: _realify(apply(_complexify(x))), coords,
+                        step)
+        extras["symplectic"] = float(np.max(np.abs(
+            np.swapaxes(jac, 1, 2) @ J @ jac - J)))
     return CheckResult(
         check="symplectic-pullback",
-        samples=len(points) - skipped,
-        max_deviation=worst,
+        samples=len(points),
+        max_deviation=float(np.max(list(extras.values()))),
         tolerance=1e-8,
-        skipped=skipped,
+        skipped=int(np.count_nonzero(near)),
         extras=extras,
     )
 
@@ -480,36 +512,36 @@ def vector_field_relation_check(loop, params, samples=200, seed=0, scale=1.0):
     points = _ball_samples(rng, samples, params.n, params.r,
                            min_radius=params.r / 10.0)
     times = rng.random(samples)
-    worst = 0.0
-    for t, z in zip(times, points):
-        chart_field = scale * loop.vector_field(float(t), z)
-        x = _real_coords(z)
-        jac = _jacobian_fd(
-            lambda v: _real_coords(f_rho(_complex_coords(v), params)), x)
-        push = jac @ _real_coords(chart_field)
-        base_field = loop.vector_field(float(t), f_rho(z, params))
-        worst = max(worst, float(np.max(np.abs(push - _real_coords(base_field)))))
+    coords = _realify(points)
+    chart = lambda x: _chart(x, params)
+    images = _complexify(chart(coords))
+    # one solve per time serves both the chart point and its image
+    fields = loop.vector_field(times[:, None], np.stack([points, images], 1))
+    push = _jacobian(chart, coords) @ _realify(scale * fields[:, 0])[..., None]
+    gaps = np.abs(push[..., 0] - _realify(fields[:, 1]))
     return CheckResult(
         check="vector-field-relation",
         samples=samples,
-        max_deviation=worst,
+        max_deviation=float(np.max(gaps, initial=0.0)),
         tolerance=1e-6,
     )
 
 
 def divisor_continuity_check(h, params, directions=64, seed=0, shrink=1e-6):
-    """Radial limit of the chart branch against the divisor branch."""
+    """Radial limit of the chart branch against the divisor branch.
+
+    h is a LocalHamiltonian or a callable of z, as in s1_invariance_check.
+    """
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(directions):
-        w = rng.standard_normal(params.n) + 1j * rng.standard_normal(params.n)
-        direction = DivisorDirection(w)
-        inner = lifted_hamiltonian(h, shrink * direction.w, params)
-        at_divisor = lifted_hamiltonian(h, direction, params)
-        worst = max(worst, abs(inner - at_divisor))
+    draws = rng.standard_normal((directions, 2, params.n))
+    w = draws[:, 0] + 1j * draws[:, 1]
+    w = w / np.linalg.norm(w, axis=-1, keepdims=True)
+    values = h.values if isinstance(h, LocalHamiltonian) else _rows(h)
+    inner = values(_complexify(_chart(_realify(shrink * w), params)))
+    gaps = np.abs(inner - values(params.rho * w))
     return CheckResult(
         check="divisor-continuity",
         samples=directions,
-        max_deviation=float(worst),
+        max_deviation=float(np.max(gaps, initial=0.0)),
         tolerance=1e-8,
     )

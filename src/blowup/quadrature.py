@@ -18,18 +18,22 @@ partitioning, so results are bit-stable.
 The pushforward checks integrate the same Hamiltonian twice: once on the
 annulus directly and once pulled back through the radial chart map, with
 the chart Jacobian determinant obtained by central finite differences
-rather than its closed form, so the two sides are independent.
+rather than its closed form, so the two sides are independent.  The chart
+map, its finite-difference Jacobian, the coordinate helpers and the
+batched Hamiltonian are the shared kernel of local_model.py.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .local_model import FD_STEP, CheckResult, _profile_raw
+from .local_model import (CheckResult, _chart, _complexify, _jacobian,
+                          _profile_raw)
 
 __all__ = [
     "IntegralResult",
@@ -74,8 +78,16 @@ def _sphere_area(n):
     return 2.0 * math.pi ** n / math.factorial(n - 1)
 
 
-def _gauss_nodes(a, b, order):
+@functools.lru_cache(maxsize=32)
+def _legendre_rule(order):
+    """Gauss-Legendre nodes and weights on [-1, 1], cached read-only."""
     x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _gauss_nodes(a, b, order):
+    x, w = _legendre_rule(order)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w
 
@@ -86,17 +98,17 @@ def _radial_average(h, s):
     return -math.pi * (h.weight_sum / n) * s * s + h.constant()
 
 
-def _gauss_ball(h, radius, n, order):
-    s, w = _gauss_nodes(0.0, radius, order)
+def _gauss_shell(h, a, b, n, order):
+    """Integral of H over a <= |z| <= b; a = 0 gives the ball."""
+    s, w = _gauss_nodes(a, b, order)
     integrand = _radial_average(h, s) * _sphere_area(n) * s ** (2 * n - 1)
     return float(np.sum(w * integrand))
 
 
-def _hamiltonian_batch(h, points):
-    """Vectorized H over an (N, n) complex array."""
-    weights = np.asarray(h.weights, dtype=float)
-    quad = np.abs(points) ** 2 @ weights
-    return -math.pi * quad + h.constant()
+def _gauss_result(value, coarse, order):
+    """Product-gauss result whose error compares against the coarse rule."""
+    error = abs(value - coarse) + 1e-15 * abs(value)
+    return IntegralResult(value, error, "product-gauss", order)
 
 
 def _mc_blocks(samples):
@@ -118,9 +130,9 @@ def _mc_ball(h, radius, n, samples, seed):
             continue
         rng = np.random.default_rng(child)
         coords = rng.uniform(-radius, radius, size=(block, dim))
-        points = coords[:, 0::2] + 1j * coords[:, 1::2]
+        points = _complexify(coords)
         inside = np.einsum("ij,ij->i", coords, coords) <= radius * radius
-        values = np.where(inside, _hamiltonian_batch(h, points), 0.0)
+        values = np.where(inside, h.values(points), 0.0)
         total += float(np.sum(values))
         total_sq += float(np.sum(values * values))
         accepted += int(np.count_nonzero(inside))
@@ -153,45 +165,13 @@ def integrate_ball(h, radius, n, scheme="product-gauss", order=32,
     if len(h.weights) != n:
         raise ValueError("weight count must match n")
     if scheme == "product-gauss":
-        value = _gauss_ball(h, radius, n, order)
-        coarse = _gauss_ball(h, radius, n, max(order // 2, 2))
-        error = abs(value - coarse) + 1e-15 * abs(value)
-        return IntegralResult(value, error, "product-gauss", order)
+        return _gauss_result(_gauss_shell(h, 0.0, radius, n, order),
+                             _gauss_shell(h, 0.0, radius, n, max(order // 2, 2)),
+                             order)
     if scheme == "monte-carlo":
         value, stderr, count = _mc_ball(h, radius, n, samples, seed)
         return IntegralResult(value, stderr, "monte-carlo", count)
     raise ValueError("scheme must be 'product-gauss' or 'monte-carlo'")
-
-
-def _real_coords(points):
-    out = np.empty(points.shape[:-1] + (2 * points.shape[-1],))
-    out[..., 0::2] = points.real
-    out[..., 1::2] = points.imag
-    return out
-
-
-def _complex_coords(coords):
-    return coords[..., 0::2] + 1j * coords[..., 1::2]
-
-
-def _chart_batch(coords, params):
-    """Realified chart map on an (N, 2n) real array, rows nonzero."""
-    points = _complex_coords(coords)
-    radii = np.linalg.norm(coords, axis=-1)
-    value, _ = _profile_raw(radii, params)
-    return _real_coords(points * (value / radii)[..., None])
-
-
-def _chart_jacobian_dets(coords, params, step=FD_STEP):
-    """det DF at each row of an (N, 2n) real array, by central differences."""
-    count, dim = coords.shape
-    jac = np.empty((count, dim, dim))
-    for k in range(dim):
-        bump = np.zeros(dim)
-        bump[k] = step
-        jac[:, :, k] = (_chart_batch(coords + bump, params)
-                        - _chart_batch(coords - bump, params)) / (2 * step)
-    return np.linalg.det(jac)
 
 
 def _gauss_pullback(h, params, order):
@@ -206,27 +186,19 @@ def _gauss_pullback(h, params, order):
     n = params.n
     area = _sphere_area(n)
     cuts = (0.0, params.delta, params.r - params.delta, params.r)
-    total = 0.0
-    skipped = 0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        s, w = _gauss_nodes(a, b, order)
-        keep = s >= 1e-8
-        skipped += int(np.count_nonzero(~keep))
-        s, w = s[keep], w[keep]
-        beta, _ = _profile_raw(s, params)
-        coords = np.zeros((len(s), 2 * n))
-        coords[:, 0] = s
-        dets = _chart_jacobian_dets(coords, params)
-        averages = _radial_average(h, beta)
-        total += float(np.sum(w * averages * dets * area * s ** (2 * n - 1)))
-    return total, skipped
-
-
-def _gauss_annulus(h, params, order):
-    s, w = _gauss_nodes(params.rho, params.r, order)
-    n = params.n
-    integrand = _radial_average(h, s) * _sphere_area(n) * s ** (2 * n - 1)
-    return float(np.sum(w * integrand))
+    # all panels share one Jacobian call; each panel still sums on its own
+    s, w = np.concatenate([_gauss_nodes(a, b, order)
+                           for a, b in zip(cuts[:-1], cuts[1:])], axis=1)
+    panel = np.repeat(np.arange(len(cuts) - 1), order)
+    keep = s >= 1e-8
+    s, w, panel = s[keep], w[keep], panel[keep]
+    beta, _ = _profile_raw(s, params)
+    coords = np.zeros((len(s), 2 * n))
+    coords[:, 0] = s
+    dets = np.linalg.det(_jacobian(lambda x: _chart(x, params), coords))
+    values = w * _radial_average(h, beta) * dets * area * s ** (2 * n - 1)
+    total = sum(float(np.sum(values[panel == k])) for k in range(len(cuts) - 1))
+    return total, int(np.count_nonzero(~keep))
 
 
 def _mc_region(h, params, samples, seed, pullback):
@@ -258,13 +230,13 @@ def _mc_region(h, params, samples, seed, pullback):
             values = np.zeros(block)
             if np.any(keep):
                 inside = coords[keep]
-                images = _complex_coords(_chart_batch(inside, params))
-                dets = _chart_jacobian_dets(inside, params)
-                values[keep] = _hamiltonian_batch(h, images) * dets
+                chart = lambda x: _chart(x, params)
+                images = _complexify(chart(inside))
+                dets = np.linalg.det(_jacobian(chart, inside))
+                values[keep] = h.values(images) * dets
         else:
             keep = (radii <= r) & (radii > params.rho)
-            values = np.where(keep, _hamiltonian_batch(
-                h, _complex_coords(coords)), 0.0)
+            values = np.where(keep, h.values(_complexify(coords)), 0.0)
         total += float(np.sum(values))
         total_sq += float(np.sum(values * values))
         count += block
@@ -286,16 +258,12 @@ def verify_annulus_pushforward(h, params, scheme="product-gauss", order=32,
     if len(h.weights) != params.n:
         raise ValueError("weight count must match n")
     if scheme == "product-gauss":
+        half = max(order // 2, 2)
         left_value, skipped = _gauss_pullback(h, params, order)
-        right_value = _gauss_annulus(h, params, order)
-        coarse_left, _ = _gauss_pullback(h, params, max(order // 2, 2))
-        coarse_right = _gauss_annulus(h, params, max(order // 2, 2))
-        left = IntegralResult(left_value,
-                              abs(left_value - coarse_left) + 1e-15 * abs(left_value),
-                              "product-gauss", order)
-        right = IntegralResult(right_value,
-                               abs(right_value - coarse_right) + 1e-15 * abs(right_value),
-                               "product-gauss", order)
+        left = _gauss_result(left_value, _gauss_pullback(h, params, half)[0],
+                             order)
+        shell = lambda k: _gauss_shell(h, params.rho, params.r, params.n, k)
+        right = _gauss_result(shell(order), shell(half), order)
     elif scheme == "monte-carlo":
         lv, le, lc, skipped = _mc_region(h, params, samples, seed, pullback=True)
         rv, re, rc, _ = _mc_region(h, params, samples, seed + 1, pullback=False)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -186,6 +187,21 @@ def test_verify_rejects_rho_at_least_r(tmp_path, capsys):
     path = write_manifest(tmp_path, payload)
     assert cli.main(["verify", path]) == 2
     assert "rho" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN", "1e999"])
+def test_verify_rejects_non_finite_local_model(tmp_path, capsys, literal):
+    text = json.dumps(base_manifest()).replace('"r": 1.0', '"r": ' + literal)
+    path = tmp_path / "manifest.json"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:")
 
 
 # -- eval ---------------------------------------------------------------------

@@ -50,6 +50,16 @@ def test_params_reject_weight_at_least_r():
         LocalModelParams(n=2, rho=1.7, delta=0.2, r=1.0)
 
 
+@pytest.mark.parametrize("bad", [
+    {"rho": math.nan}, {"rho": -math.inf}, {"delta": math.nan},
+    {"delta": math.inf}, {"r": math.inf}, {"r": math.nan},
+])
+def test_params_reject_non_finite(bad):
+    values = {"rho": 0.3, "delta": 0.2, "r": 1.0, **bad}
+    with pytest.raises(ValueError, match="finite"):
+        LocalModelParams(n=2, **values)
+
+
 def test_params_reject_bad_band():
     with pytest.raises(ValueError, match="delta"):
         LocalModelParams(n=2, rho=0.3, delta=0.0, r=1.0)
@@ -331,6 +341,47 @@ def test_pullback_standard_form_on_explicit_grid():
     assert result.max_deviation <= 1e-8
 
 
+def random_unitary(n, seed):
+    g = np.random.default_rng(seed).standard_normal((2, n, n))
+    unitary, _ = np.linalg.qr(g[0] + 1j * g[1])
+    return unitary
+
+
+@pytest.mark.parametrize("form", ["blowup", "standard"])
+def test_pullback_matrix_and_callable_agree(form):
+    p = params_n2(rho=0.4)
+    unitary = random_unitary(2, seed=9)
+    by_matrix = symplectic_pullback_check(unitary, p, reference_form=form,
+                                          grid=200, seed=3)
+    by_callable = symplectic_pullback_check(lambda z: unitary @ z, p,
+                                            reference_form=form, grid=200,
+                                            seed=3)
+    assert by_matrix.passed
+    assert by_matrix.samples == by_callable.samples == 200
+    assert by_matrix.skipped == by_callable.skipped == 0
+    assert by_matrix.extras.keys() == by_callable.extras.keys()
+    for key, value in by_matrix.extras.items():
+        assert abs(value - by_callable.extras[key]) <= 1e-12
+    assert abs(by_matrix.max_deviation - by_callable.max_deviation) <= 1e-12
+
+
+def test_pullback_skips_and_counts_points_at_origin():
+    p = params_n2(rho=0.4)
+    pts = np.array([[0.3 + 0.1j, 0.2j], [1e-9, 0.0], [0.0, 0.0],
+                    [0.5, 0.1 - 0.2j]])
+    unitary = random_unitary(2, seed=4)
+    for map_fn in (unitary, lambda z: unitary @ z):
+        result = symplectic_pullback_check(map_fn, p, grid=pts)
+        assert result.samples == 2
+        assert result.skipped == 2
+        assert result.passed
+
+
+def test_pullback_rejects_misshapen_matrix():
+    with pytest.raises(ValueError, match="matrix"):
+        symplectic_pullback_check(np.eye(3), params_n2())
+
+
 def test_pullback_rejects_unknown_form():
     p = params_n2()
     with pytest.raises(ValueError, match="reference_form"):
@@ -361,6 +412,85 @@ def test_vector_field_relation_detects_scaled_field():
                                          samples=200, seed=4, scale=1.1)
     assert result.max_deviation > 0.1
     assert not result.passed
+
+
+def test_vector_field_relation_diagonal_and_matrix_paths_agree():
+    p = params_n2(rho=0.4)
+    weights = (2, -1)
+    diagonal = UnitaryLoop.diagonal(weights)
+    general = UnitaryLoop(2, matrix_fn=lambda t: np.diag(
+        np.exp(-2j * math.pi * np.asarray(weights) * t)))
+    by_weights = vector_field_relation_check(diagonal, p, samples=150, seed=6)
+    by_matrix_fn = vector_field_relation_check(general, p, samples=150, seed=6)
+    assert by_weights.passed
+    assert by_weights.samples == by_matrix_fn.samples
+    assert abs(by_weights.max_deviation - by_matrix_fn.max_deviation) <= 1e-12
+
+
+def test_unitary_loop_batched_matches_pointwise():
+    u = random_unitary(2, seed=1)
+    loop = UnitaryLoop(2, matrix_fn=lambda t: u @ np.diag(
+        np.exp(-2j * math.pi * np.array([1, 3]) * t)) @ u.conj().T)
+    rng = np.random.default_rng(8)
+    times = rng.random(5)
+    points = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
+    stacked = loop.vector_field(times, points)
+    for t, z, field in zip(times, points, stacked):
+        assert np.max(np.abs(loop.vector_field(t, z) - field)) <= 1e-12
+    assert np.max(np.abs(loop.matrix(times)[2] - loop.matrix(times[2]))) == 0.0
+
+
+# ------------------------------------------------------------ fail closed
+
+
+def assert_fails_closed(result):
+    assert not math.isfinite(result.max_deviation)
+    assert result.passed is False
+    assert result.as_dict()["pass"] is False
+
+
+@pytest.mark.parametrize("h", [
+    lambda z: math.nan,
+    LocalHamiltonian(weights=(1, 2), c=math.nan),
+])
+def test_s1_invariance_nan_hamiltonian_fails(h):
+    assert_fails_closed(s1_invariance_check(h, samples=50, seed=1,
+                                            params=params_n2()))
+
+
+def test_divisor_continuity_nan_hamiltonian_fails():
+    h = LocalHamiltonian(weights=(1, 2), c=math.nan)
+    assert_fails_closed(divisor_continuity_check(h, params_n2()))
+
+
+@pytest.mark.parametrize("form", ["blowup", "standard"])
+def test_pullback_nan_map_fails(form):
+    p = params_n2(rho=0.4)
+    result = symplectic_pullback_check(lambda z: z * math.nan, p,
+                                       reference_form=form, grid=30, seed=2)
+    assert_fails_closed(result)
+    result = symplectic_pullback_check(np.full((2, 2), math.nan), p,
+                                       reference_form=form, grid=30, seed=2)
+    assert_fails_closed(result)
+
+
+def test_pullback_nan_conjugation_gap_fails():
+    # NaN only inside |z| < 0.35: the Jacobian, taken on the annulus
+    # |F(z)| >= rho = 0.4, stays finite, so the NaN conjugation gap must
+    # survive being combined with the finite symplectic deviation
+    p = params_n2(rho=0.4)
+    map_fn = lambda z: z if np.linalg.norm(z) > 0.35 else z * math.nan
+    result = symplectic_pullback_check(map_fn, p, grid=100, seed=2)
+    assert math.isfinite(result.extras["symplectic"])
+    assert not math.isfinite(result.extras["conjugation"])
+    assert_fails_closed(result)
+
+
+def test_vector_field_relation_nan_scale_fails():
+    result = vector_field_relation_check(UnitaryLoop.diagonal((1, 0)),
+                                         params_n2(rho=0.4), samples=40,
+                                         seed=4, scale=math.nan)
+    assert_fails_closed(result)
 
 
 # ------------------------------------------------------------------ reporting
