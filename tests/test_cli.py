@@ -189,7 +189,10 @@ def test_verify_rejects_rho_at_least_r(tmp_path, capsys):
     assert "rho" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN", "1e999"])
+@pytest.mark.parametrize("literal", [
+    "Infinity", "-Infinity", "NaN", "1e999",
+    pytest.param("1" + "0" * 400, id="400-digit-integer"),
+])
 def test_verify_rejects_non_finite_local_model(tmp_path, capsys, literal):
     text = json.dumps(base_manifest()).replace('"r": 1.0', '"r": ' + literal)
     path = tmp_path / "manifest.json"
