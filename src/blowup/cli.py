@@ -282,6 +282,16 @@ def _beta_invariants_check(params, grid=10_000):
                        max_deviation=float(deviation), tolerance=1e-12)
 
 
+def _require_float_range(loop):
+    """The numerical checks read a loop's weights and C as floats."""
+    try:
+        for value in loop.weights + (loop.C,):
+            float(value)
+    except OverflowError:
+        raise ManifestError("loop '%s': weights and C must fit in a float "
+                            "for verify" % loop.name) from None
+
+
 def _verify_rows(manifest, params, which):
     rows = []
     seed = manifest.seed
@@ -289,6 +299,7 @@ def _verify_rows(manifest, params, which):
     if which in ("beta", "all"):
         rows.append(_beta_invariants_check(params))
     for loop in loops:
+        _require_float_range(loop)
         h = LocalHamiltonian(weights=loop.weights, c=float(loop.C))
         unitary = UnitaryLoop.diagonal(loop.weights)
         label = ":" + loop.name

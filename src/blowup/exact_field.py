@@ -235,9 +235,10 @@ class TauRat:
         if num.is_zero:
             num, den = TauPoly(), TauPoly((Fraction(1),))
         else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num, den = num // g, den // g
+            if den.degree > 0:  # a nonzero constant is coprime to every num
+                g = poly_gcd(num, den)
+                if g.degree > 0:
+                    num, den = num // g, den // g
             lead = den.lead
             if lead != 1:
                 inv = Fraction(1) / lead
@@ -403,6 +404,9 @@ def eval_exact(x, tau0):
 # -- textual form ------------------------------------------------------------
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+# parse_taurat stores polynomials densely, so a larger exponent would
+# allocate that many coefficients before any check could refuse it.
+MAX_PARSE_DEGREE = 10_000
 
 
 def format_rational(value):
@@ -416,7 +420,10 @@ def parse_rational(text):
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise ValueError("not a rational literal: %r" % (text,))
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % (text,)) from None
 
 
 def _joint_integer_coeffs(num, den):
@@ -470,7 +477,7 @@ def _parse_poly(text):
             if head in ("", "-"):
                 coeff = Fraction(head + "1")
             elif head.endswith("*"):
-                coeff = Fraction(head[:-1])
+                coeff = parse_rational(head[:-1])
             else:
                 raise ValueError("malformed term: %r" % (term,))
             if tail == "":
@@ -479,8 +486,11 @@ def _parse_poly(text):
                 power = int(tail[1:])
             else:
                 raise ValueError("malformed term: %r" % (term,))
+            if power > MAX_PARSE_DEGREE:
+                raise ValueError("degree %d exceeds the parser's cap of %d"
+                                 % (power, MAX_PARSE_DEGREE))
         else:
-            coeff = Fraction(term)
+            coeff = parse_rational(term)
             power = 0
         coeffs[power] = coeffs.get(power, Fraction(0)) + coeff
     out = [Fraction(0)] * (max(coeffs) + 1)
@@ -503,5 +513,7 @@ def parse_taurat(text):
             raise ValueError("malformed rational-function literal: %r" % (text,))
         inner = rest[1:].strip()
         den = _parse_poly(inner[1:-1])
+        if den.is_zero:
+            raise ValueError("zero denominator in %r" % (text,))
         return TauRat(num, den)
     return TauRat(_parse_poly(s))

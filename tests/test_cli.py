@@ -207,6 +207,33 @@ def test_verify_rejects_non_finite_local_model(tmp_path, capsys, literal):
     assert lines[0].startswith("error:")
 
 
+@pytest.mark.parametrize("field, value", [
+    pytest.param("weights", [10 ** 400, 1], id="weight-10^400"),
+    pytest.param("C", "1" + "0" * 400, id="C-10^400"),
+])
+def test_verify_rejects_loop_value_too_large_for_float(tmp_path, capsys, field, value):
+    payload = base_manifest()
+    payload["loops"][0][field] = value
+    path = write_manifest(tmp_path, payload)
+    assert cli.main(["verify", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:")
+    # the exact commands keep the big integer
+    assert cli.main(["order", path, "--loop", "main"]) == 0
+    assert "lifted order infinite" in capsys.readouterr().out
+
+
+def test_verify_takes_weights_beyond_int64_as_floats(tmp_path, capsys):
+    payload = base_manifest()
+    payload["loops"][0]["weights"] = [10 ** 30, 1]
+    path = write_manifest(tmp_path, payload)
+    assert cli.main(["verify", path, "--check", "pullback"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 # -- eval ---------------------------------------------------------------------
 
 def test_eval_matches_exact_value(tmp_path, capsys):
@@ -251,6 +278,7 @@ def test_eval_rejects_nonpositive_weight(tmp_path, capsys):
     (lambda p: p["manifold"].update(n=True), "integer"),
     (lambda p: p["manifold"].update(volume="x/y"), "volume"),
     (lambda p: p["loops"][0].update(C=0.5), "rational string"),
+    (lambda p: p["loops"][0].update(C="1/0"), "zero denominator"),
     (lambda p: p["loops"][0].update(weights=[1]), "2 integers"),
     (lambda p: p["loops"][0].update(name="zero"), "duplicate"),
     (lambda p: p["loops"][0].update(name=""), "nonempty"),

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blowup.exact_field import (
+    MAX_PARSE_DEGREE,
     TAU,
     TauPoly,
     TauRat,
@@ -201,6 +202,41 @@ def test_render_parse_round_trip(x):
     assert parse_taurat(str(x)) == x
 
 
+@pytest.mark.parametrize("text", [
+    "(t)/(0)", "(t)/(t - t)", "1/0", "(t)/(1/0*t)",
+    "1e400*t", "1.5", "t^%d" % (MAX_PARSE_DEGREE + 1),
+    "(1)/(t^%d + 1)" % (MAX_PARSE_DEGREE + 1),
+])
+def test_parse_rejects_malformed_literal(text):
+    with pytest.raises(ValueError):
+        parse_taurat(text)
+
+
+def test_parse_accepts_degree_at_cap():
+    assert parse_taurat("t^%d" % MAX_PARSE_DEGREE).num.degree == MAX_PARSE_DEGREE
+
+
+@given(taurats(), taupolys(max_degree=2, nonzero=True))
+@settings(max_examples=40, deadline=None)
+def test_canonical_form_matches_sympy_cancel(x, g):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+
+    def to_sympy(p):
+        return sum((sympy.Rational(c.numerator, c.denominator) * t ** i
+                    for i, c in enumerate(p.coeffs)), sympy.Integer(0))
+
+    def from_sympy(expr):
+        coeffs = sympy.Poly(expr, t).all_coeffs()[::-1]
+        return TauPoly([Fraction(int(c.p), int(c.q)) for c in coeffs])
+
+    num, den = sympy.fraction(sympy.cancel(to_sympy(x.num * g) / to_sympy(x.den * g)))
+    lead = sympy.Poly(den, t).LC()
+    got = TauRat(x.num * g, x.den * g)
+    assert got.num == from_sympy(sympy.expand(num / lead))
+    assert got.den == from_sympy(sympy.expand(den / lead))
+
+
 def test_rational_strings():
     assert parse_rational("3/4") == Fraction(3, 4)
     assert parse_rational("-2") == Fraction(-2)
@@ -208,3 +244,5 @@ def test_rational_strings():
     assert format_rational(Fraction(-3, 7)) == "-3/7"
     with pytest.raises(ValueError):
         parse_rational("1.5")
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_rational("3/0")

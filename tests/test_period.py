@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from blowup.exact_field import TAU, TauPoly, TauRat, membership_in_lattice
 from blowup.period import PeriodLattice, QuotientClass, blowup_lattice, class_order
+from blowup.weinstein import CircleLoopSpec, ManifoldSpec, lift_value_circle
 
 ONE = TauRat(1)
 
@@ -111,3 +112,41 @@ def test_quotient_class_equality():
     z = QuotientClass(TauRat(Fraction(1, 4)), lattice)
     assert x == y
     assert x != z
+
+
+lift_values = st.builds(
+    lambda weights, C, V: lift_value_circle(
+        CircleLoopSpec(weights=weights, C=C),
+        ManifoldSpec(n=len(weights), V=V, a=1)).lifted_value,
+    st.lists(st.integers(min_value=-9, max_value=9), min_size=2, max_size=4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=12),
+    st.fractions(min_value=Fraction(1, 3), max_value=8, max_denominator=5),
+)
+polynomial_values = st.lists(
+    st.fractions(min_value=-5, max_value=5, max_denominator=8), max_size=4,
+).map(lambda cs: TauRat(TauPoly(cs)))
+
+
+@given(
+    st.one_of(polynomial_values, lift_values),
+    st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(2, 3)]),
+    st.booleans(),
+    st.integers(min_value=-9, max_value=9),
+    st.integers(min_value=-9, max_value=9),
+)
+@settings(max_examples=80, deadline=None)
+def test_equal_classes_hash_equal(value, a, includes_tau, A, B):
+    lattice = PeriodLattice(a, includes_tau=includes_tau)
+    shift = TauRat(TauPoly([A * a, B if includes_tau else 0]))
+    x = QuotientClass(value, lattice)
+    shifted = QuotientClass(value + shift, lattice)
+    assert x == shifted
+    assert hash(x) == hash(shifted)
+
+
+def test_distinct_classes_spread_over_hashes():
+    lattice = PeriodLattice(50, includes_tau=True)
+    classes = [QuotientClass(TauRat(j), lattice) for j in range(50)]
+    assert len({hash(c) for c in classes}) == 50
+    assert len(set(classes)) == 50
+    assert len({QuotientClass(TauRat(j) + 3 * TAU, lattice) for j in range(0, 500, 50)}) == 1

@@ -1,6 +1,7 @@
 """Integer relation lattices and rank certificates for lifted classes."""
 
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -10,7 +11,14 @@ from hypothesis import strategies as st
 
 from blowup.exact_field import membership_in_lattice
 from blowup.period import class_order
-from blowup.rank import certify_rank, integer_kernel, lemma_num_check, relation_kernel
+from blowup.rank import (
+    _independence_flags,
+    _orient,
+    certify_rank,
+    integer_kernel,
+    lemma_num_check,
+    relation_kernel,
+)
 from blowup.weinstein import CircleLoopSpec, ManifoldSpec, lift_value_circle
 
 M2 = ManifoldSpec(n=2, V=1, a=1)
@@ -93,16 +101,49 @@ def test_integer_kernel_zero_matrix():
         assert in_lattice(c, basis)
 
 
+def dense_integer_kernel(rows):
+    """Row-major reference: the same column operations on a dense identity."""
+    k = len(rows[0])
+    work = [[int(v) for v in row] for row in rows]
+    unimod = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+
+    def swap_cols(i, j):
+        for row in work + unimod:
+            row[i], row[j] = row[j], row[i]
+
+    def add_multiple(dst, src, q):
+        for row in work + unimod:
+            row[dst] -= q * row[src]
+
+    pivot_col = 0
+    for r in range(len(work)):
+        if pivot_col >= k:
+            break
+        lead = next((j for j in range(pivot_col, k) if work[r][j] != 0), None)
+        if lead is None:
+            continue
+        swap_cols(pivot_col, lead)
+        for j in range(pivot_col + 1, k):
+            while work[r][j] != 0:
+                if work[r][pivot_col] == 0 or abs(work[r][j]) < abs(work[r][pivot_col]):
+                    swap_cols(pivot_col, j)
+                if work[r][pivot_col] != 0 and work[r][j] != 0:
+                    add_multiple(j, pivot_col, work[r][j] // work[r][pivot_col])
+        pivot_col += 1
+    return [_orient(tuple(unimod[i][j] for i in range(k))) for j in range(pivot_col, k)]
+
+
 @given(
-    st.lists(
-        st.lists(st.integers(min_value=-6, max_value=6), min_size=3, max_size=3),
+    st.integers(min_value=2, max_value=4).flatmap(lambda k: st.lists(
+        st.lists(st.integers(min_value=-6, max_value=6), min_size=k, max_size=k),
         min_size=1,
         max_size=3,
-    )
+    ))
 )
-@settings(max_examples=80)
+@settings(max_examples=80, deadline=None)
 def test_integer_kernel_matches_brute_force(rows):
     basis = integer_kernel(rows)
+    assert basis == dense_integer_kernel(rows)
     for vector in basis:
         assert all(sum(r * x for r, x in zip(row, vector)) == 0 for row in rows)
     for c in brute_force_kernel_members(rows, 3):
@@ -268,6 +309,67 @@ def test_every_generator_infinite_order(data):
         return  # trivial local datum lifts to the zero class
     value = lift_value_circle(loop, manifold)
     assert class_order(value.lifted_class()) is None
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_certified_order_flags_match_generic_lift(data):
+    # C = 0 and K = 0 are drawn often: those loops lift to the zero class,
+    # which the generic path reports as order 1, not infinite
+    n = data.draw(st.integers(min_value=2, max_value=6))
+    manifold = ManifoldSpec(
+        n=n,
+        V=data.draw(st.fractions(min_value=Fraction(1, 3), max_value=8, max_denominator=5)),
+        a=data.draw(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(5)])),
+    )
+    loops = []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+        weights = list(data.draw(st.tuples(*([st.integers(min_value=-9, max_value=9)] * n))))
+        if data.draw(st.booleans()):
+            weights[-1] -= sum(weights)  # K = 0
+        C = Fraction(0)
+        if data.draw(st.booleans()):
+            C = data.draw(st.fractions(min_value=-4, max_value=4, max_denominator=12))
+        loops.append(CircleLoopSpec(weights=weights, C=C))
+    certificate = certify_rank(loops, manifold)
+    expected = tuple(
+        class_order(lift_value_circle(loop, manifold).lifted_class()) is None
+        for loop in loops
+    )
+    assert certificate.generator_orders_infinite == expected
+
+
+def test_certify_rank_two_hundred_generators():
+    rng = random.Random(2015)
+    manifold = ManifoldSpec(n=3, V=Fraction(7, 2), a=Fraction(2, 3))
+    loops = []
+    for j in range(200):
+        weights = [rng.randint(-9, 9) for _ in range(3)]
+        if j % 7 == 0:
+            weights[-1] -= sum(weights)  # K = 0
+        C = Fraction(0) if j % 11 == 0 else Fraction(rng.randint(-30, 30), rng.randint(1, 40))
+        loops.append(CircleLoopSpec(weights=weights, C=C))
+    certificate = certify_rank(loops, manifold)
+    base_row, weight_row = certificate.reduction
+    # some 2 x 2 minor of the relation matrix is nonzero, so its rank is 2
+    assert any(base_row[i] * weight_row[j] != base_row[j] * weight_row[i]
+               for i in range(200) for j in range(i))
+    assert certificate.rank == 2
+    assert len(certificate.kernel_basis) == 200 - certificate.rank
+    for vector in certificate.kernel_basis:
+        assert sum(c * x for c, x in zip(vector, base_row)) == 0
+        assert sum(c * x for c, x in zip(vector, weight_row)) == 0
+    assert certificate.generators_independent == \
+        _independence_flags(certificate.kernel_basis, 200)
+    scale = math.lcm(*(f.denominator for f in base_row))
+    int_rows = [[int(f * scale) for f in base_row], [int(w) for w in weight_row]]
+    assert list(certificate.kernel_basis) == dense_integer_kernel(int_rows)
+    expected = tuple(
+        class_order(lift_value_circle(loop, manifold).lifted_class()) is None
+        for loop in loops
+    )
+    assert certificate.generator_orders_infinite == expected
+    assert not all(expected)
 
 
 # -- coprime non-vanishing check ----------------------------------------------
