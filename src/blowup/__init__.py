@@ -10,7 +10,6 @@ from .exact_field import (
     TAU,
     TauPoly,
     TauRat,
-    canonicalize,
     eval_at,
     eval_exact,
     format_rational,
@@ -59,7 +58,6 @@ __all__ = [
     "TAU",
     "TauPoly",
     "TauRat",
-    "canonicalize",
     "eval_at",
     "eval_exact",
     "format_rational",

@@ -211,6 +211,21 @@ def _numeric_weight(manifest, override=None):
     return None
 
 
+def _evaluate(value, rho):
+    """(t, base, lifted) at t = pi*rho^2, each value rounded once."""
+    tau0 = math.pi * rho * rho
+    try:
+        return (tau0, eval_at(value.base_value, tau0),
+                eval_at(value.lifted_value, tau0))
+    except ZeroDivisionError:
+        raise ManifestError(
+            "evaluation at pole: the blow-up of weight rho = %g swallows "
+            "the whole volume (V = t^n)" % rho) from None
+    except OverflowError:
+        raise ManifestError("the values at rho = %g do not fit in a float"
+                            % rho) from None
+
+
 def cmd_lift(manifest, loop_name, out=None):
     out = out if out is not None else sys.stdout
     loop = _lookup_loop(manifest, loop_name)
@@ -222,14 +237,7 @@ def cmd_lift(manifest, loop_name, out=None):
     print("lattice: Z<%s> + Z<t>" % manifest.manifold.a, file=out)
     rho = _numeric_weight(manifest)
     if rho is not None:
-        tau0 = math.pi * rho * rho
-        try:
-            base = eval_at(value.base_value, tau0)
-            lifted = eval_at(value.lifted_value, tau0)
-        except ZeroDivisionError:
-            raise ManifestError(
-                "evaluation at pole: the blow-up of weight rho = %g swallows "
-                "the whole volume" % rho) from None
+        tau0, base, lifted = _evaluate(value, rho)
         print("at rho = %g (t = %.12g): base = %.12g, lifted = %.12g"
               % (rho, tau0, base, lifted), file=out)
     return 0
@@ -335,7 +343,11 @@ def _verify_rows(manifest, params, which):
             quadratic = CircleLoopSpec(weights=loop.weights, C=0,
                                        name=loop.name)
             symbolic = ball_integral_closed_form(quadratic, manifest.manifold)
-            expected = eval_at(symbolic, math.pi * params.rho ** 2)
+            try:
+                expected = eval_at(symbolic, math.pi * params.rho ** 2)
+            except OverflowError:
+                raise ManifestError("loop '%s': its ball integral does not "
+                                    "fit in a float" % loop.name) from None
             got = integrate_ball(LocalHamiltonian(weights=loop.weights),
                                  params.rho, params.n)
             scale = max(abs(expected), 1e-12)
@@ -371,16 +383,10 @@ def cmd_eval(manifest, loop_name, rho, out=None):
     if rho is None:
         raise ManifestError(
             "no weight given: pass --rho or add local_model to the manifest")
-    if rho <= 0:
-        raise ManifestError("weight must be positive")
-    value = lift_value_circle(loop, manifest.manifold)
-    tau0 = math.pi * rho * rho
-    try:
-        base = eval_at(value.base_value, tau0)
-        lifted = eval_at(value.lifted_value, tau0)
-    except ZeroDivisionError:
-        raise ManifestError("evaluation at pole: volume equals t^n at this "
-                            "weight") from None
+    if not 0 < rho < math.inf:
+        raise ManifestError("weight must be positive and finite")
+    tau0, base, lifted = _evaluate(lift_value_circle(loop, manifest.manifold),
+                                   rho)
     print("rho = %g, t = %.12g" % (rho, tau0), file=out)
     print("base = %.12g" % base, file=out)
     print("lifted = %.12g" % lifted, file=out)

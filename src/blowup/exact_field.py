@@ -30,7 +30,6 @@ __all__ = [
     "TauPoly",
     "TauRat",
     "TAU",
-    "canonicalize",
     "membership_in_lattice",
     "eval_at",
     "eval_exact",
@@ -51,10 +50,6 @@ class TauPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
-
-    @classmethod
-    def constant(cls, value):
-        return cls((Fraction(value),))
 
     @classmethod
     def monomial(cls, coeff, power):
@@ -246,10 +241,6 @@ class TauRat:
         self.num = num
         self.den = den
 
-    @classmethod
-    def from_fraction(cls, value):
-        return cls(TauPoly.constant(value))
-
     @property
     def is_zero(self):
         return self.num.is_zero
@@ -349,11 +340,6 @@ def _as_taurat(value):
     return NotImplemented
 
 
-def canonicalize(num, den):
-    """Return num/den as the unique coprime, monic-denominator TauRat."""
-    return TauRat(num, den)
-
-
 def membership_in_lattice(x, a):
     """Decide whether x = A*a + B*t for some integers A, B.
 
@@ -381,19 +367,20 @@ def membership_in_lattice(x, a):
 
 
 def eval_at(x, tau0):
-    """Floating evaluation of x at t = tau0; raises at a pole."""
-    x = _as_taurat(x)
-    if x is NotImplemented:
-        raise TypeError("eval_at expects a TauRat")
-    den_value = float(x.den.evaluate(float(tau0)))
-    if den_value == 0.0:
-        raise ZeroDivisionError("evaluation at pole")
-    return float(x.num.evaluate(float(tau0))) / den_value
+    """Value of x at the float t = tau0, correctly rounded; raises at a pole.
+
+    A float is an exact dyadic rational, so x is evaluated exactly at
+    Fraction(tau0) and rounded once.  A value too large for a float
+    raises OverflowError.
+    """
+    return float(eval_exact(x, Fraction(tau0)))
 
 
 def eval_exact(x, tau0):
     """Exact evaluation of x at a rational point tau0."""
     x = _as_taurat(x)
+    if x is NotImplemented:
+        raise TypeError("eval_exact expects a TauRat")
     tau0 = Fraction(tau0)
     den_value = x.den.evaluate(tau0)
     if den_value == 0:

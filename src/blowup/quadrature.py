@@ -11,16 +11,18 @@ Two schemes are provided.  product-gauss exploits circle invariance: a
 quadratic Hamiltonian -pi sum m_j |z_j|^2 + c has sphere average
 -pi (K/n) s^2 + c at radius s with K the weight sum, so the whole
 integral collapses to a one-dimensional radial Gauss-Legendre rule that
-is exact for these polynomial integrands.  monte-carlo rejects uniform
-cube samples into the ball with a fixed seed and deterministic block
-partitioning, so results are bit-stable.
+is exact for these polynomial integrands.  monte-carlo draws uniform cube
+samples with a fixed seed and deterministic block partitioning, so
+results are bit-stable; one sampling loop serves every region, each
+caller passing an integrand that masks its samples.
 
 The pushforward checks integrate the same Hamiltonian twice: once on the
 annulus directly and once pulled back through the radial chart map, with
 the chart Jacobian determinant obtained by central finite differences
-rather than its closed form, so the two sides are independent.  The chart
-map, its finite-difference Jacobian, the coordinate helpers and the
-batched Hamiltonian are the shared kernel of local_model.py.
+rather than its closed form, so the two sides are independent; its
+nodes and determinants are cached per chart and order.  The chart map,
+its finite-difference Jacobian, the coordinate helpers and the batched
+Hamiltonian are the shared kernel of local_model.py.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .local_model import (CheckResult, _chart, _complexify, _jacobian,
-                          _profile_raw)
+from .local_model import (CheckResult, LocalModelParams, _chart, _complexify,
+                          _jacobian, _profile_raw)
 
 __all__ = [
     "IntegralResult",
@@ -111,41 +113,36 @@ def _gauss_result(value, coarse, order):
     return IntegralResult(value, error, "product-gauss", order)
 
 
-def _mc_blocks(samples):
-    base, extra = divmod(samples, _MC_BLOCKS)
-    return [base + 1 if i < extra else base for i in range(_MC_BLOCKS)]
+def _monte_carlo(integrand, half_width, dim, samples, seed):
+    """Block-deterministic Monte-Carlo over the cube [-half_width, half_width]^dim.
 
-
-def _mc_ball(h, radius, n, samples, seed):
-    """Rejection Monte-Carlo from the bounding cube, block-deterministic."""
-    dim = 2 * n
-    cube_volume = (2.0 * radius) ** dim
+    The samples split into _MC_BLOCKS blocks, each drawn from its own child
+    of SeedSequence(seed), so results are bit-stable.  integrand maps a
+    (block, dim) array of cube samples to (values, tally); the tallies are
+    summed.  Returns (value, stderr, count, tally).
+    """
+    if samples < 1:
+        raise ValueError("monte-carlo needs a positive sample count")
     children = np.random.SeedSequence(seed).spawn(_MC_BLOCKS)
+    base, extra = divmod(samples, _MC_BLOCKS)
     total = 0.0
     total_sq = 0.0
-    accepted = 0
-    count = 0
-    for block, child in zip(_mc_blocks(samples), children):
+    tally = 0
+    for index, child in enumerate(children):
+        block = base + 1 if index < extra else base
         if block == 0:
             continue
         rng = np.random.default_rng(child)
-        coords = rng.uniform(-radius, radius, size=(block, dim))
-        points = _complexify(coords)
-        inside = np.einsum("ij,ij->i", coords, coords) <= radius * radius
-        values = np.where(inside, h.values(points), 0.0)
+        coords = rng.uniform(-half_width, half_width, size=(block, dim))
+        values, hits = integrand(coords)
         total += float(np.sum(values))
         total_sq += float(np.sum(values * values))
-        accepted += int(np.count_nonzero(inside))
-        count += block
-    if accepted < 10:
-        raise ValueError(
-            "fewer than 10 effective samples landed in the ball; "
-            "raise the sample count or lower the dimension")
-    mean = total / count
-    variance = max(total_sq / count - mean * mean, 0.0)
-    value = cube_volume * mean
-    stderr = cube_volume * math.sqrt(variance / count)
-    return value, stderr, count
+        tally += hits
+    cube_volume = (2.0 * half_width) ** dim
+    mean = total / samples
+    variance = max(total_sq / samples - mean * mean, 0.0)
+    return (cube_volume * mean, cube_volume * math.sqrt(variance / samples),
+            samples, tally)
 
 
 def integrate_ball(h, radius, n, scheme="product-gauss", order=32,
@@ -169,9 +166,44 @@ def integrate_ball(h, radius, n, scheme="product-gauss", order=32,
                              _gauss_shell(h, 0.0, radius, n, max(order // 2, 2)),
                              order)
     if scheme == "monte-carlo":
-        value, stderr, count = _mc_ball(h, radius, n, samples, seed)
+        def ball(coords):
+            points = _complexify(coords)
+            inside = np.einsum("ij,ij->i", coords, coords) <= radius * radius
+            values = np.where(inside, h.values(points), 0.0)
+            return values, int(np.count_nonzero(inside))
+
+        value, stderr, count, accepted = _monte_carlo(ball, radius, 2 * n,
+                                                      samples, seed)
+        if accepted < 10:
+            raise ValueError(
+                "fewer than 10 effective samples landed in the ball; "
+                "raise the sample count or lower the dimension")
         return IntegralResult(value, stderr, "monte-carlo", count)
     raise ValueError("scheme must be 'product-gauss' or 'monte-carlo'")
+
+
+@functools.lru_cache(maxsize=32)
+def _pullback_rule(n, rho, delta, r, order):
+    """Nodes, weights, panel indices, beta(s), det DF and skipped count.
+
+    The part of _gauss_pullback that no Hamiltonian enters, cached
+    read-only, so every check on one chart builds one Jacobian per order.
+    """
+    params = LocalModelParams(n, rho, delta, r)
+    cuts = (0.0, delta, r - delta, r)
+    # all panels share one Jacobian call; each panel still sums on its own
+    s, w = np.concatenate([_gauss_nodes(a, b, order)
+                           for a, b in zip(cuts[:-1], cuts[1:])], axis=1)
+    panel = np.repeat(np.arange(len(cuts) - 1), order)
+    keep = s >= 1e-8
+    s, w, panel = s[keep], w[keep], panel[keep]
+    beta, _ = _profile_raw(s, params)
+    coords = np.zeros((len(s), 2 * n))
+    coords[:, 0] = s
+    dets = np.linalg.det(_jacobian(lambda x: _chart(x, params), coords))
+    for array in (s, w, panel, beta, dets):
+        array.flags.writeable = False
+    return s, w, panel, beta, dets, int(np.count_nonzero(~keep))
 
 
 def _gauss_pullback(h, params, order):
@@ -185,64 +217,11 @@ def _gauss_pullback(h, params, order):
     """
     n = params.n
     area = _sphere_area(n)
-    cuts = (0.0, params.delta, params.r - params.delta, params.r)
-    # all panels share one Jacobian call; each panel still sums on its own
-    s, w = np.concatenate([_gauss_nodes(a, b, order)
-                           for a, b in zip(cuts[:-1], cuts[1:])], axis=1)
-    panel = np.repeat(np.arange(len(cuts) - 1), order)
-    keep = s >= 1e-8
-    s, w, panel = s[keep], w[keep], panel[keep]
-    beta, _ = _profile_raw(s, params)
-    coords = np.zeros((len(s), 2 * n))
-    coords[:, 0] = s
-    dets = np.linalg.det(_jacobian(lambda x: _chart(x, params), coords))
+    s, w, panel, beta, dets, skipped = _pullback_rule(
+        n, params.rho, params.delta, params.r, order)
     values = w * _radial_average(h, beta) * dets * area * s ** (2 * n - 1)
-    total = sum(float(np.sum(values[panel == k])) for k in range(len(cuts) - 1))
-    return total, int(np.count_nonzero(~keep))
-
-
-def _mc_region(h, params, samples, seed, pullback):
-    """Monte-Carlo for either side of the pushforward identity.
-
-    pullback=True integrates (H o F) det DF over the full ball of radius
-    r; pullback=False integrates H over the annulus rho < |z| <= r.  Same
-    proposal cube either way, so the two sides stay independent only
-    through their integrands.
-    """
-    n = params.n
-    dim = 2 * n
-    r = params.r
-    cube_volume = (2.0 * r) ** dim
-    children = np.random.SeedSequence(seed).spawn(_MC_BLOCKS)
-    total = 0.0
-    total_sq = 0.0
-    count = 0
-    skipped = 0
-    for block, child in zip(_mc_blocks(samples), children):
-        if block == 0:
-            continue
-        rng = np.random.default_rng(child)
-        coords = rng.uniform(-r, r, size=(block, dim))
-        radii = np.linalg.norm(coords, axis=1)
-        if pullback:
-            keep = (radii <= r) & (radii >= 1e-8)
-            skipped += int(np.count_nonzero(radii < 1e-8))
-            values = np.zeros(block)
-            if np.any(keep):
-                inside = coords[keep]
-                chart = lambda x: _chart(x, params)
-                images = _complexify(chart(inside))
-                dets = np.linalg.det(_jacobian(chart, inside))
-                values[keep] = h.values(images) * dets
-        else:
-            keep = (radii <= r) & (radii > params.rho)
-            values = np.where(keep, h.values(_complexify(coords)), 0.0)
-        total += float(np.sum(values))
-        total_sq += float(np.sum(values * values))
-        count += block
-    mean = total / count
-    variance = max(total_sq / count - mean * mean, 0.0)
-    return cube_volume * mean, cube_volume * math.sqrt(variance / count), count, skipped
+    total = sum(float(np.sum(values[panel == k])) for k in range(3))
+    return total, skipped
 
 
 def verify_annulus_pushforward(h, params, scheme="product-gauss", order=32,
@@ -265,8 +244,30 @@ def verify_annulus_pushforward(h, params, scheme="product-gauss", order=32,
         shell = lambda k: _gauss_shell(h, params.rho, params.r, params.n, k)
         right = _gauss_result(shell(order), shell(half), order)
     elif scheme == "monte-carlo":
-        lv, le, lc, skipped = _mc_region(h, params, samples, seed, pullback=True)
-        rv, re, rc, _ = _mc_region(h, params, samples, seed + 1, pullback=False)
+        # both sides draw from the same cube, so they stay independent only
+        # through their integrands
+        chart = lambda x: _chart(x, params)
+
+        def pullback(coords):
+            radii = np.linalg.norm(coords, axis=1)
+            keep = (radii <= params.r) & (radii >= 1e-8)
+            skipped = int(np.count_nonzero(radii < 1e-8))
+            values = np.zeros(len(coords))
+            inside = coords[keep]
+            images = _complexify(chart(inside))
+            dets = np.linalg.det(_jacobian(chart, inside))
+            values[keep] = h.values(images) * dets
+            return values, skipped
+
+        def annulus(coords):
+            radii = np.linalg.norm(coords, axis=1)
+            keep = (radii <= params.r) & (radii > params.rho)
+            return np.where(keep, h.values(_complexify(coords)), 0.0), 0
+
+        dim = 2 * params.n
+        lv, le, lc, skipped = _monte_carlo(pullback, params.r, dim, samples,
+                                           seed)
+        rv, re, rc, _ = _monte_carlo(annulus, params.r, dim, samples, seed + 1)
         left = IntegralResult(lv, le, "monte-carlo", lc)
         right = IntegralResult(rv, re, "monte-carlo", rc)
     else:
@@ -276,20 +277,17 @@ def verify_annulus_pushforward(h, params, scheme="product-gauss", order=32,
     return AnnulusComparison(left, right, deviation, skipped)
 
 
-def verify_normalized_lemma(h, params, V_proxy=None, scheme="product-gauss",
-                            order=32):
+def verify_normalized_lemma(h, params, order=32):
     """Chart form of the lifted-integral identity, as a relative deviation.
 
     The full identity subtracts the ball term from the total integral; for
     Hamiltonians supported in the radius-r ball the complement of the ball
     contributes identically to both sides and cancels, so the check
     reduces to: pulled-back integral over the punctured r-ball equals the
-    r-ball integral minus the rho-ball integral.  V_proxy is accepted for
-    interface symmetry with volume-aware callers and does not enter the
-    deviation, since the cancellation above removes the total-volume term.
+    r-ball integral minus the rho-ball integral.  That cancellation also
+    removes the total-volume term, so no volume enters the deviation, and
+    both sides are deterministic product-gauss rules.
     """
-    if scheme != "product-gauss":
-        raise ValueError("the lemma check is deterministic; use product-gauss")
     left, skipped = _gauss_pullback(h, params, order)
     outer = integrate_ball(h, params.r, params.n, order=order)
     inner = integrate_ball(h, params.rho, params.n, order=order)

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_field import TAU, TauRat, _as_taurat
+from .exact_field import TauPoly, TauRat, _as_taurat
 from .period import PeriodLattice, QuotientClass, blowup_lattice
 
 __all__ = [
@@ -112,7 +112,8 @@ def ball_integral_closed_form(loop, manifold):
     manifold.check_loop(loop)
     n = manifold.n
     K = Fraction(loop.weight_sum)
-    return (-K / math.factorial(n + 1)) * TAU ** (n + 1) + loop.C * TAU ** n
+    return TauRat(TauPoly.monomial(-K / math.factorial(n + 1), n + 1)
+                  + TauPoly.monomial(loop.C, n))
 
 
 def lift_value_general(base, time_integral, manifold):
@@ -123,7 +124,7 @@ def lift_value_general(base, time_integral, manifold):
     """
     base = _as_taurat(base)
     time_integral = _as_taurat(time_integral)
-    volume = TauRat(manifold.V) - TAU ** manifold.n
+    volume = TauRat(manifold.V - TauPoly.monomial(1, manifold.n))
     lifted = base + time_integral / volume
     return WeinsteinValue(
         base_value=base,

@@ -3,6 +3,7 @@
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -226,6 +227,16 @@ def test_verify_rejects_loop_value_too_large_for_float(tmp_path, capsys, field, 
     assert "lifted order infinite" in capsys.readouterr().out
 
 
+def test_verify_rejects_ball_integral_too_large_for_float(tmp_path, capsys):
+    # each weight fits in a float, the closed-form ball integral does not
+    payload = base_manifest()
+    payload["loops"][0]["weights"] = [10 ** 290, 1]
+    payload["local_model"] = {"rho": 1e3, "delta": 1e4, "r": 1e5}
+    path = write_manifest(tmp_path, payload)
+    assert cli.main(["verify", path, "--check", "integrals"]) == 2
+    assert "ball integral does not fit in a float" in capsys.readouterr().err
+
+
 def test_verify_takes_weights_beyond_int64_as_floats(tmp_path, capsys):
     payload = base_manifest()
     payload["loops"][0]["weights"] = [10 ** 30, 1]
@@ -267,6 +278,38 @@ def test_eval_rejects_nonpositive_weight(tmp_path, capsys):
     path = write_manifest(tmp_path, base_manifest())
     assert cli.main(["eval", path, "--loop", "main", "--rho", "-1"]) == 2
     assert "weight must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rho", ["nan", "inf"])
+def test_eval_rejects_non_finite_weight(tmp_path, capsys, rho):
+    path = write_manifest(tmp_path, base_manifest())
+    assert cli.main(["eval", path, "--loop", "main", "--rho", rho]) == 2
+    assert "positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["lift"], ["eval", "--rho", "0.3"]])
+def test_value_too_large_for_float_exits_2(tmp_path, capsys, argv):
+    payload = base_manifest()
+    payload["loops"][0]["C"] = "1" + "0" * 400
+    path = write_manifest(tmp_path, payload)
+    assert cli.main([argv[0], path, "--loop", "main"] + argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "fit in a float" in err
+    assert err.count("\n") == 1
+    assert cli.main(["order", path, "--loop", "main"]) == 0
+
+
+def test_eval_exits_2_at_the_exact_pole(tmp_path, capsys):
+    # V = t0^2 exactly at the float t0 = pi*rho^2, so V - t^2 vanishes there
+    rho = 0.3
+    volume = Fraction(math.pi * rho * rho) ** 2
+    payload = base_manifest()
+    payload["manifold"]["volume"] = "%d/%d" % (volume.numerator,
+                                              volume.denominator)
+    path = write_manifest(tmp_path, payload)
+    assert cli.main(["eval", path, "--loop", "main", "--rho", repr(rho)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: evaluation at pole") and err.count("\n") == 1
 
 
 # -- manifest schema ----------------------------------------------------------

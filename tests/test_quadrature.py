@@ -8,9 +8,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from blowup import cli, quadrature
 from blowup.exact_field import eval_at
-from blowup.local_model import LocalHamiltonian, LocalModelParams
+from blowup.local_model import (LocalHamiltonian, LocalModelParams, _chart,
+                                _complexify, _jacobian)
 from blowup.quadrature import (
+    MC_SEED,
     IntegralResult,
     integrate_ball,
     verify_annulus_pushforward,
@@ -120,6 +123,15 @@ def test_too_few_effective_samples():
         integrate_ball(h, 0.5, 6, scheme="monte-carlo", samples=2000)
 
 
+def test_monte_carlo_rejects_an_empty_sample_count():
+    params = LocalModelParams(n=2, rho=0.3, delta=0.2, r=1.0)
+    h = LocalHamiltonian(weights=(1, 2))
+    with pytest.raises(ValueError, match="positive sample count"):
+        integrate_ball(h, 0.5, 2, scheme="monte-carlo", samples=0)
+    with pytest.raises(ValueError, match="positive sample count"):
+        verify_annulus_pushforward(h, params, scheme="monte-carlo", samples=0)
+
+
 def test_argument_validation():
     h = LocalHamiltonian(weights=(1, 2))
     with pytest.raises(ValueError, match="radius"):
@@ -207,16 +219,144 @@ def test_normalized_lemma_zero():
     assert result.max_deviation == 0.0
 
 
-def test_normalized_lemma_ignores_volume_proxy():
-    params = LocalModelParams(n=2, rho=0.4, delta=0.2, r=1.0)
-    h = LocalHamiltonian(weights=(2, 1), c=0.5)
-    bare = verify_normalized_lemma(h, params)
-    with_proxy = verify_normalized_lemma(h, params, V_proxy=3.7)
-    assert bare.max_deviation == with_proxy.max_deviation
+def test_normalized_lemma_shares_the_annulus_pullback():
+    # the lemma's pulled-back side is the annulus check's left value, bit
+    # for bit, so its deviation is rebuilt exactly from that and the balls
+    params = LocalModelParams(n=3, rho=0.35, delta=0.15, r=0.9)
+    h = LocalHamiltonian(weights=(2, -1, 3), c=0.4)
+    left = verify_annulus_pushforward(h, params).left.value
+    right = (integrate_ball(h, params.r, 3).value
+             - integrate_ball(h, params.rho, 3).value)
+    lemma = verify_normalized_lemma(h, params)
+    assert lemma.max_deviation == abs(left - right) / max(abs(right), 1e-12)
 
 
-def test_normalized_lemma_requires_gauss():
-    params = LocalModelParams(n=2, rho=0.4, delta=0.2, r=1.0)
-    with pytest.raises(ValueError, match="product-gauss"):
-        verify_normalized_lemma(LocalHamiltonian(weights=(0, 0)), params,
-                                scheme="monte-carlo")
+def test_verify_integrals_build_one_jacobian_per_order(monkeypatch):
+    calls = []
+
+    def counting_jacobian(real_map, coords):
+        calls.append(len(coords))
+        return _jacobian(real_map, coords)
+
+    monkeypatch.setattr(quadrature, "_jacobian", counting_jacobian)
+    quadrature._pullback_rule.cache_clear()
+    manifest = cli.Manifest(
+        manifold=ManifoldSpec(n=2, V=Fraction(1), a=Fraction(1)),
+        loops=[CircleLoopSpec(weights=(1, 2), C=Fraction(1, 2), name="a"),
+               CircleLoopSpec(weights=(3, -1), C=Fraction(1, 3), name="b")],
+        local_model={"rho": 0.4, "delta": 0.2, "r": 1.0},
+        seed=0)
+    params = LocalModelParams(n=2, **manifest.local_model)
+    rows = cli._verify_rows(manifest, params, "integrals")
+    assert all(row.passed for row in rows)
+    # orders 32 and 16, three panels each, shared by both loops and checks
+    assert calls == [3 * 32, 3 * 16]
+
+
+# ------------------------------------------- Monte-Carlo reference copies
+# The block loops as they stood before the single Monte-Carlo loop, kept
+# as the reference _monte_carlo must match bit for bit.
+
+def _reference_blocks(samples):
+    base, extra = divmod(samples, 16)
+    return [base + 1 if i < extra else base for i in range(16)]
+
+
+def _reference_mc_ball(h, radius, n, samples, seed):
+    dim = 2 * n
+    cube_volume = (2.0 * radius) ** dim
+    children = np.random.SeedSequence(seed).spawn(16)
+    total = 0.0
+    total_sq = 0.0
+    accepted = 0
+    count = 0
+    for block, child in zip(_reference_blocks(samples), children):
+        if block == 0:
+            continue
+        rng = np.random.default_rng(child)
+        coords = rng.uniform(-radius, radius, size=(block, dim))
+        points = _complexify(coords)
+        inside = np.einsum("ij,ij->i", coords, coords) <= radius * radius
+        values = np.where(inside, h.values(points), 0.0)
+        total += float(np.sum(values))
+        total_sq += float(np.sum(values * values))
+        accepted += int(np.count_nonzero(inside))
+        count += block
+    if accepted < 10:
+        raise ValueError("fewer than 10 effective samples")
+    mean = total / count
+    variance = max(total_sq / count - mean * mean, 0.0)
+    return cube_volume * mean, cube_volume * math.sqrt(variance / count), count
+
+
+def _reference_mc_region(h, params, samples, seed, pullback):
+    n = params.n
+    dim = 2 * n
+    r = params.r
+    cube_volume = (2.0 * r) ** dim
+    children = np.random.SeedSequence(seed).spawn(16)
+    total = 0.0
+    total_sq = 0.0
+    count = 0
+    skipped = 0
+    for block, child in zip(_reference_blocks(samples), children):
+        if block == 0:
+            continue
+        rng = np.random.default_rng(child)
+        coords = rng.uniform(-r, r, size=(block, dim))
+        radii = np.linalg.norm(coords, axis=1)
+        if pullback:
+            keep = (radii <= r) & (radii >= 1e-8)
+            skipped += int(np.count_nonzero(radii < 1e-8))
+            values = np.zeros(block)
+            if np.any(keep):
+                inside = coords[keep]
+                chart = lambda x: _chart(x, params)
+                images = _complexify(chart(inside))
+                dets = np.linalg.det(_jacobian(chart, inside))
+                values[keep] = h.values(images) * dets
+        else:
+            keep = (radii <= r) & (radii > params.rho)
+            values = np.where(keep, h.values(_complexify(coords)), 0.0)
+        total += float(np.sum(values))
+        total_sq += float(np.sum(values * values))
+        count += block
+    mean = total / count
+    variance = max(total_sq / count - mean * mean, 0.0)
+    return (cube_volume * mean, cube_volume * math.sqrt(variance / count),
+            count, skipped)
+
+
+# 37 samples at n = 4 land too few points in the ball, so the ball's
+# too-few-samples error is matched as well
+MC_CASES = [(n, seed, samples) for n in (1, 2, 3, 4)
+            for seed in (0, MC_SEED) for samples in (37, 5_000)]
+
+
+@pytest.mark.parametrize("n,seed,samples", MC_CASES)
+def test_monte_carlo_ball_matches_reference(n, seed, samples):
+    h = LocalHamiltonian(weights=tuple(range(1, n + 1)), c=-0.3)
+    try:
+        expected = _reference_mc_ball(h, 0.6, n, samples, seed)
+    except ValueError:
+        with pytest.raises(ValueError, match="fewer than 10 effective"):
+            integrate_ball(h, 0.6, n, "monte-carlo", samples=samples,
+                           seed=seed)
+        return
+    got = integrate_ball(h, 0.6, n, "monte-carlo", samples=samples, seed=seed)
+    assert (got.value, got.error_estimate, got.samples_or_order) == expected
+
+
+@pytest.mark.parametrize("n,seed,samples", MC_CASES)
+def test_monte_carlo_pushforward_matches_reference(n, seed, samples):
+    params = LocalModelParams(n=n, rho=0.3, delta=0.2, r=1.0)
+    h = LocalHamiltonian(weights=tuple(range(n, 0, -1)), c=0.8)
+    got = verify_annulus_pushforward(h, params, "monte-carlo",
+                                     samples=samples, seed=seed)
+    lv, le, lc, skipped = _reference_mc_region(h, params, samples, seed, True)
+    rv, re, rc, _ = _reference_mc_region(h, params, samples, seed + 1, False)
+    assert (got.left.value, got.left.error_estimate,
+            got.left.samples_or_order) == (lv, le, lc)
+    assert (got.right.value, got.right.error_estimate,
+            got.right.samples_or_order) == (rv, re, rc)
+    assert got.skipped == skipped

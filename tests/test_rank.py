@@ -256,9 +256,14 @@ def test_kernel_completeness_small_boxes(data):
     ]
     certificate = relation_kernel(loops, M2)
     lifts = [lift_value_circle(loop, M2).lifted_value for loop in loops]
-    for c in product(range(-6, 7), repeat=k):
-        combo = sum((coeff * lift for coeff, lift in zip(c, lifts)),
-                    start=0 * lifts[0])
+    # every c in the box with sum c_j * lift_j, in product order; each
+    # level adds one lift's precomputed multiples to the partial sums
+    combos = [((), 0 * lifts[0])]
+    for lift in lifts:
+        multiples = [(coeff, coeff * lift) for coeff in range(-6, 7)]
+        combos = [(c + (coeff,), partial + multiple)
+                  for c, partial in combos for coeff, multiple in multiples]
+    for c, combo in combos:
         is_member = membership_in_lattice(combo, M2.a) is not None
         assert is_member == in_lattice(c, certificate.kernel_basis)
 
