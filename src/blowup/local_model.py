@@ -32,10 +32,12 @@ with step 1e-5.
 
 The batched chart kernel of the package lives here, and quadrature.py
 imports it: _realify/_complexify, the chart map _chart on (N, 2n) rows,
-the central-difference Jacobian _jacobian of a batched real map, and
-LocalHamiltonian.values.  Checks run it over all their seeded samples at
-once; per-point callables (a bare Hamiltonian, map_fn, matrix_fn) go
-through the row loop _rows.  symplectic_pullback_check takes its map as
+the central-difference Jacobian _jacobian of a batched real map,
+LocalHamiltonian.values, and _shell_samples, the uniform sampler of a
+ball or shell from which every Monte-Carlo integral and seeded check
+draws.  Checks run it over all their seeded samples at once; per-point
+callables (a bare Hamiltonian, map_fn, matrix_fn) go through the row
+loop _rows.  symplectic_pullback_check takes its map as
 an (n, n) complex matrix or as such a callable.  Deviations are reduced
 with np.max, so a NaN sample gives a NaN deviation, which never passes.
 """
@@ -301,9 +303,6 @@ class CheckResult:
     def passed(self):
         return self.max_deviation <= self.tolerance
 
-    def __float__(self):
-        return float(self.max_deviation)
-
     def as_dict(self):
         return {
             "check": self.check,
@@ -381,22 +380,18 @@ class UnitaryLoop:
                 / (2 * dt))[..., 0]
 
 
-def _ball_samples(rng, count, n, radius, min_radius=0.0):
-    """Uniform complex points in the ball, optionally away from the origin."""
-    out = np.empty((count, n), dtype=complex)
-    have = 0
-    while have < count:
-        block = rng.standard_normal((2 * count, 2 * n))
-        norms = np.linalg.norm(block, axis=1)
-        directions = block / norms[:, None]
-        radii = radius * rng.random(2 * count) ** (1.0 / (2 * n))
-        points = directions * radii[:, None]
-        if min_radius > 0:
-            points = points[np.linalg.norm(points, axis=1) >= min_radius]
-        take = min(count - have, len(points))
-        out[have:have + take] = _complexify(points[:take])
-        have += take
-    return out
+def _shell_samples(rng, count, n, radius, inner=0.0):
+    """(count, 2n) uniform real points in the shell inner <= |x| <= radius.
+
+    A Gaussian direction (Muller 1959) times the radius at which |x|^(2n)
+    is uniform on [inner^(2n), radius^(2n)] (Marsaglia 1972), so no draw
+    is rejected; inner = 0 gives the ball.
+    """
+    directions = rng.standard_normal((count, 2 * n))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    low = (inner / radius) ** (2 * n)
+    radii = radius * (low + (1.0 - low) * rng.random(count)) ** (0.5 / n)
+    return directions * radii[:, None]
 
 
 def s1_invariance_check(h, samples=1000, seed=0, params=None):
@@ -416,7 +411,7 @@ def s1_invariance_check(h, samples=1000, seed=0, params=None):
         values, n = _rows(h), params.n
     radius = params.r if params is not None else 1.0
     rng = np.random.default_rng(seed)
-    points = _ball_samples(rng, samples, n, radius)
+    points = _complexify(_shell_samples(rng, samples, n, radius))
     phases = np.exp(2j * math.pi * rng.random(samples))
     gaps = np.abs(values(points) - values(phases[:, None] * points))
     return CheckResult(
@@ -459,7 +454,7 @@ def symplectic_pullback_check(map_fn, params, reference_form="blowup",
         apply = lambda points: (matrix @ points[..., None])[..., 0]
     if isinstance(grid, (int, np.integer)):
         rng = np.random.default_rng(seed)
-        points = _ball_samples(rng, int(grid), n, params.r)
+        points = _complexify(_shell_samples(rng, int(grid), n, params.r))
     else:
         points = np.asarray(grid, dtype=complex)
     near = np.linalg.norm(points, axis=-1) < 1e-8
@@ -509,10 +504,9 @@ def vector_field_relation_check(loop, params, samples=200, seed=0, scale=1.0):
     chart field so tests can confirm a wrong field is detected.
     """
     rng = np.random.default_rng(seed)
-    points = _ball_samples(rng, samples, params.n, params.r,
-                           min_radius=params.r / 10.0)
+    coords = _shell_samples(rng, samples, params.n, params.r, params.r / 10.0)
     times = rng.random(samples)
-    coords = _realify(points)
+    points = _complexify(coords)
     chart = lambda x: _chart(x, params)
     images = _complexify(chart(coords))
     # one solve per time serves both the chart point and its image

@@ -11,18 +11,22 @@ Two schemes are provided.  product-gauss exploits circle invariance: a
 quadratic Hamiltonian -pi sum m_j |z_j|^2 + c has sphere average
 -pi (K/n) s^2 + c at radius s with K the weight sum, so the whole
 integral collapses to a one-dimensional radial Gauss-Legendre rule that
-is exact for these polynomial integrands.  monte-carlo draws uniform cube
-samples with a fixed seed and deterministic block partitioning, so
-results are bit-stable; one sampling loop serves every region, each
-caller passing an integrand that masks its samples.
+is exact for these polynomial integrands.  monte-carlo draws uniform
+points in the region itself, a ball or an annulus, so none is rejected;
+a fixed seed and deterministic block partitioning keep results
+bit-stable, and one sampling loop serves every region, each caller
+passing its integrand.  For a square-integrable integrand its default
+count never has a larger standard error than the 200k cube draws it
+replaced (_default_samples).
 
 The pushforward checks integrate the same Hamiltonian twice: once on the
 annulus directly and once pulled back through the radial chart map, with
 the chart Jacobian determinant obtained by central finite differences
 rather than its closed form, so the two sides are independent; its
 nodes and determinants are cached per chart and order.  The chart map,
-its finite-difference Jacobian, the coordinate helpers and the batched
-Hamiltonian are the shared kernel of local_model.py.
+its finite-difference Jacobian, the coordinate helpers, the batched
+Hamiltonian and the ball-and-shell sampler are the shared kernel of
+local_model.py.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .local_model import (CheckResult, LocalModelParams, _chart, _complexify,
-                          _jacobian, _profile_raw)
+                          _jacobian, _profile_raw, _shell_samples)
 
 __all__ = [
     "IntegralResult",
@@ -113,46 +117,64 @@ def _gauss_result(value, coarse, order):
     return IntegralResult(value, error, "product-gauss", order)
 
 
-def _monte_carlo(integrand, half_width, dim, samples, seed):
-    """Block-deterministic Monte-Carlo over the cube [-half_width, half_width]^dim.
+def _monte_carlo(integrand, n, radius, samples, seed, inner=0.0):
+    """Block-deterministic Monte-Carlo over inner <= |x| <= radius in R^(2n).
 
-    The samples split into _MC_BLOCKS blocks, each drawn from its own child
-    of SeedSequence(seed), so results are bit-stable.  integrand maps a
-    (block, dim) array of cube samples to (values, tally); the tallies are
-    summed.  Returns (value, stderr, count, tally).
+    The samples, _default_samples(n) when None, split into _MC_BLOCKS
+    blocks, each drawing exactly its own count from its own child of
+    SeedSequence(seed), so results are bit-stable.  integrand maps a
+    (block, 2n) array of shell points to their values; the mean is scaled
+    by the shell volume.
     """
+    samples = _default_samples(n) if samples is None else samples
     if samples < 1:
         raise ValueError("monte-carlo needs a positive sample count")
     children = np.random.SeedSequence(seed).spawn(_MC_BLOCKS)
     base, extra = divmod(samples, _MC_BLOCKS)
     total = 0.0
     total_sq = 0.0
-    tally = 0
     for index, child in enumerate(children):
         block = base + 1 if index < extra else base
         if block == 0:
             continue
-        rng = np.random.default_rng(child)
-        coords = rng.uniform(-half_width, half_width, size=(block, dim))
-        values, hits = integrand(coords)
+        values = integrand(_shell_samples(np.random.default_rng(child), block,
+                                          n, radius, inner))
         total += float(np.sum(values))
         total_sq += float(np.sum(values * values))
-        tally += hits
-    cube_volume = (2.0 * half_width) ** dim
+    volume = (math.pi ** n / math.factorial(n)
+              * (radius ** (2 * n) - inner ** (2 * n)))
     mean = total / samples
     variance = max(total_sq / samples - mean * mean, 0.0)
-    return (cube_volume * mean, cube_volume * math.sqrt(variance / samples),
-            samples, tally)
+    return IntegralResult(volume * mean, volume * math.sqrt(variance / samples),
+                          "monte-carlo", samples)
+
+
+def _default_samples(n):
+    """Points that land in the ball out of 200k cube draws, on average.
+
+    Drawing them in the ball itself never gives a larger standard error
+    than the 200k cube draws, for any square-integrable f.  The ball
+    fills the share p = pi^n / (n! 4^n) of its bounding cube, V_b = p V_c;
+    with E the mean over the ball, M = p N ball draws have variance
+    V_c^2 (p E f^2 - p (E f)^2) / N, and N cube draws, which are zero
+    outside, have V_c^2 (p E f^2 - p^2 (E f)^2) / N, never smaller as
+    p <= 1.  An annulus inside the ball fills a smaller share of the cube,
+    so the same count bounds its error as well.  The pulled-back integrand
+    is square-integrable only at n = 1, as det DF grows like
+    (rho/|x|)^(2n-2) at the origin; from n = 2 on neither sampler has a
+    finite variance there, and its stderr is that of the sample.
+    """
+    return math.ceil(200_000 * math.pi ** n / (math.factorial(n) * 4 ** n))
 
 
 def integrate_ball(h, radius, n, scheme="product-gauss", order=32,
-                   samples=200_000, seed=MC_SEED):
+                   samples=None, seed=MC_SEED):
     """Lebesgue integral of a quadratic Hamiltonian over the radius-ball.
 
     product-gauss is exact for these integrands up to roundoff; its error
-    estimate compares against the half-order rule.  monte-carlo reports
-    one standard error and raises if fewer than 10 proposals land inside
-    the ball.
+    estimate compares against the half-order rule.  monte-carlo draws
+    uniform points in the ball, _default_samples(n) of them unless told,
+    and reports one standard error.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -166,19 +188,8 @@ def integrate_ball(h, radius, n, scheme="product-gauss", order=32,
                              _gauss_shell(h, 0.0, radius, n, max(order // 2, 2)),
                              order)
     if scheme == "monte-carlo":
-        def ball(coords):
-            points = _complexify(coords)
-            inside = np.einsum("ij,ij->i", coords, coords) <= radius * radius
-            values = np.where(inside, h.values(points), 0.0)
-            return values, int(np.count_nonzero(inside))
-
-        value, stderr, count, accepted = _monte_carlo(ball, radius, 2 * n,
-                                                      samples, seed)
-        if accepted < 10:
-            raise ValueError(
-                "fewer than 10 effective samples landed in the ball; "
-                "raise the sample count or lower the dimension")
-        return IntegralResult(value, stderr, "monte-carlo", count)
+        return _monte_carlo(lambda x: h.values(_complexify(x)), n, radius,
+                            samples, seed)
     raise ValueError("scheme must be 'product-gauss' or 'monte-carlo'")
 
 
@@ -225,7 +236,7 @@ def _gauss_pullback(h, params, order):
 
 
 def verify_annulus_pushforward(h, params, scheme="product-gauss", order=32,
-                               samples=200_000, seed=MC_SEED):
+                               samples=None, seed=MC_SEED):
     """Both sides of the chart change-of-variables identity, plus deviation.
 
     Left: integral of (H o F) against the finite-difference chart Jacobian
@@ -233,6 +244,8 @@ def verify_annulus_pushforward(h, params, scheme="product-gauss", order=32,
     annulus rho < |z| <= r, computed with no reference to the chart.  The
     two parameterizations agree up to quadrature and finite-difference
     error; the returned deviation is relative to the right side's scale.
+    monte-carlo draws each side in its own region, with its own seed, and
+    _default_samples(n) points unless told.
     """
     if len(h.weights) != params.n:
         raise ValueError("weight count must match n")
@@ -244,32 +257,22 @@ def verify_annulus_pushforward(h, params, scheme="product-gauss", order=32,
         shell = lambda k: _gauss_shell(h, params.rho, params.r, params.n, k)
         right = _gauss_result(shell(order), shell(half), order)
     elif scheme == "monte-carlo":
-        # both sides draw from the same cube, so they stay independent only
-        # through their integrands
         chart = lambda x: _chart(x, params)
+        skipped = 0
 
         def pullback(coords):
-            radii = np.linalg.norm(coords, axis=1)
-            keep = (radii <= params.r) & (radii >= 1e-8)
-            skipped = int(np.count_nonzero(radii < 1e-8))
+            nonlocal skipped
+            near = np.linalg.norm(coords, axis=1) < 1e-8
+            skipped += int(np.count_nonzero(near))
             values = np.zeros(len(coords))
-            inside = coords[keep]
-            images = _complexify(chart(inside))
+            inside = coords[~near]
             dets = np.linalg.det(_jacobian(chart, inside))
-            values[keep] = h.values(images) * dets
-            return values, skipped
+            values[~near] = h.values(_complexify(chart(inside))) * dets
+            return values
 
-        def annulus(coords):
-            radii = np.linalg.norm(coords, axis=1)
-            keep = (radii <= params.r) & (radii > params.rho)
-            return np.where(keep, h.values(_complexify(coords)), 0.0), 0
-
-        dim = 2 * params.n
-        lv, le, lc, skipped = _monte_carlo(pullback, params.r, dim, samples,
-                                           seed)
-        rv, re, rc, _ = _monte_carlo(annulus, params.r, dim, samples, seed + 1)
-        left = IntegralResult(lv, le, "monte-carlo", lc)
-        right = IntegralResult(rv, re, "monte-carlo", rc)
+        left = _monte_carlo(pullback, params.n, params.r, samples, seed)
+        right = _monte_carlo(lambda x: h.values(_complexify(x)), params.n,
+                             params.r, samples, seed + 1, inner=params.rho)
     else:
         raise ValueError("scheme must be 'product-gauss' or 'monte-carlo'")
     scale = max(abs(right.value), 1e-12)

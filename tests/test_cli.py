@@ -233,8 +233,16 @@ def test_verify_rejects_ball_integral_too_large_for_float(tmp_path, capsys):
     payload["loops"][0]["weights"] = [10 ** 290, 1]
     payload["local_model"] = {"rho": 1e3, "delta": 1e4, "r": 1e5}
     path = write_manifest(tmp_path, payload)
-    assert cli.main(["verify", path, "--check", "integrals"]) == 2
-    assert "ball integral does not fit in a float" in capsys.readouterr().err
+    # refused before any quadrature overflows, so with one line and no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["verify", path, "--check", "integrals"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:")
+    assert "ball integral does not fit in a float" in lines[0]
 
 
 def test_verify_takes_weights_beyond_int64_as_floats(tmp_path, capsys):

@@ -508,4 +508,3 @@ def test_check_result_report_row():
         "pass": True,
     }
     assert "pass" in result.line()
-    assert float(result) == 2e-9
