@@ -364,9 +364,6 @@ class UnitaryLoop:
             -2j * math.pi * np.asarray(self.weights, dtype=float) * t[..., None])
         return out
 
-    def apply(self, t, z):
-        return self.matrix(t) @ np.asarray(z, dtype=complex)
-
     def vector_field(self, t, z, dt=FD_STEP):
         """Velocity field at z, by central t-differencing.
 

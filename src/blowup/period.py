@@ -107,9 +107,6 @@ class QuotientClass:
         return hash(("QuotientClass", reduced, r.coeffs, self.value.den.coeffs,
                      self.lattice))
 
-    def order(self):
-        return class_order(self)
-
     def __repr__(self):
         return "QuotientClass(%s mod %r)" % (self.value, self.lattice)
 

@@ -107,35 +107,25 @@ def integer_kernel(rows):
                     add_multiple(j, pivot_col, work[j][r] // work[pivot_col][r])
         pivot_col += 1
     basis = []
-    for j in range(pivot_col, k):
+    for column in unimod[pivot_col:]:
+        # first nonzero entry positive, so the printed basis is stable
+        sign = -1 if column[min(column)] < 0 else 1
         vector = [0] * k
-        for i, v in unimod[j].items():
-            vector[i] = v
-        basis.append(_orient(tuple(vector)))
+        for i, v in column.items():
+            vector[i] = sign * v
+        basis.append(tuple(vector))
     return basis
-
-
-def _orient(vector):
-    """Flip sign so the first nonzero entry is positive (display stability)."""
-    for v in vector:
-        if v > 0:
-            return vector
-        if v < 0:
-            return tuple(-x for x in vector)
-    return vector
 
 
 @dataclass(frozen=True)
 class RankCertificate:
     """Exact relation lattice among lifted classes, with the rank it leaves."""
 
-    rank: int
     kernel_basis: tuple
     orders: tuple
     weight_sums: tuple
     reduction: tuple  # the two rational rows (C_j/a) and (K_j)
     orders_pairwise_coprime: bool
-    full_rank: bool
     generators_independent: tuple
     generator_orders_infinite: tuple = ()
 
@@ -143,27 +133,37 @@ class RankCertificate:
     def k(self):
         return len(self.orders)
 
+    @property
+    def rank(self):
+        return self.k - len(self.kernel_basis)
+
     def report(self):
+        """The relation line, then the certificate behind it.
+
+        The relation line lists every kernel vector; zero entries, most of
+        them once k is large, reuse one "0" rather than a str() call each.
+        """
+        if self.kernel_basis:
+            relations = "; ".join(
+                "(%s)" % ",".join([str(c) if c else "0" for c in vector])
+                for vector in self.kernel_basis)
+            first = "rank %d, kernel basis %s" % (self.rank, relations)
+        else:
+            first = "rank %d, kernel trivial" % self.rank
         lines = [
+            first,
             "generators: %d" % self.k,
             "base orders n_j: %s" % (list(self.orders),),
             "weight sums K_j: %s" % (list(self.weight_sums),),
-            "rank: %d" % self.rank,
+            "orders pairwise coprime: %s"
+            % ("yes" if self.orders_pairwise_coprime else "no"),
         ]
-        if self.kernel_basis:
-            lines.append("kernel basis:")
-            for vector in self.kernel_basis:
-                lines.append("  %s" % (list(vector),))
-        else:
-            lines.append("kernel: trivial")
-        lines.append("orders pairwise coprime: %s"
-                     % ("yes" if self.orders_pairwise_coprime else "no"))
         if all(self.generators_independent):
             lines.append("no generator lies in the subgroup generated by the others")
         else:
             dependent = [i for i, ok in enumerate(self.generators_independent) if not ok]
             lines.append("generators expressible through the others: %s" % (dependent,))
-        if self.orders_pairwise_coprime and not self.full_rank:
+        if self.orders_pairwise_coprime and self.kernel_basis:
             lines.append("note: orders are pairwise coprime, yet relations with "
                          "non-unit coefficients exist; the lifted values span a "
                          "rational plane, so the rank cannot exceed two")
@@ -202,13 +202,11 @@ def relation_kernel(loops, manifold):
         for i in range(k) for j in range(i + 1, k)
     )
     return RankCertificate(
-        rank=k - len(basis),
         kernel_basis=tuple(basis),
         orders=orders,
         weight_sums=weight_sums,
         reduction=(base_row, tuple(Fraction(w) for w in weight_sums)),
         orders_pairwise_coprime=coprime,
-        full_rank=(len(basis) == 0),
         generators_independent=_independence_flags(basis, k),
     )
 
@@ -218,14 +216,11 @@ def _independence_flags(basis, k):
 
     The r-th coordinates of the kernel lattice form a subgroup d*Z of Z;
     a relation expressing generator r through the others exists exactly
-    when d = 1.
+    when d = 1.  gcd ignores zeros and signs, and an all-zero coordinate
+    gives d = 0.
     """
-    flags = []
-    for r in range(k):
-        coords = [abs(v[r]) for v in basis if v[r] != 0]
-        d = math.gcd(*coords) if coords else 0
-        flags.append(d != 1)
-    return tuple(flags)
+    columns = zip(*basis) if basis else [()] * k
+    return tuple(math.gcd(*coords) != 1 for coords in columns)
 
 
 def certify_rank(loops, manifold):

@@ -121,7 +121,21 @@ def test_rank_with_kernel_vector(tmp_path, capsys):
     path = write_manifest(tmp_path, payload)
     assert cli.main(["rank", path]) == 0
     out = capsys.readouterr().out
-    assert out.splitlines()[0] == "rank 1, kernel basis (2,-3)"
+    # the relation line comes first and is the only listing of the basis
+    assert out == (
+        "rank 1, kernel basis (2,-3)\n"
+        "generators: 2\n"
+        "base orders n_j: [2, 3]\n"
+        "weight sums K_j: [6, 4]\n"
+        "orders pairwise coprime: yes\n"
+        "no generator lies in the subgroup generated by the others\n"
+        "note: orders are pairwise coprime, yet relations with non-unit "
+        "coefficients exist; the lifted values span a rational plane, so the "
+        "rank cannot exceed two\n"
+        "every generator has infinite lifted order\n"
+    )
+    assert out.count("2,-3") == 1
+    assert "rank: " not in out
 
 
 def test_rank_single_loop(tmp_path, capsys):
@@ -227,16 +241,21 @@ def test_verify_rejects_loop_value_too_large_for_float(tmp_path, capsys, field, 
     assert "lifted order infinite" in capsys.readouterr().out
 
 
-def test_verify_rejects_ball_integral_too_large_for_float(tmp_path, capsys):
+@pytest.mark.parametrize("rho, check", [
+    (1e3, "integrals"),  # overflows on the rho-ball already
+    (1.0, "all"),        # fits on the rho-ball, overflows out to r
+], ids=["rho-ball", "r-ball"])
+def test_verify_rejects_ball_integral_too_large_for_float(tmp_path, capsys,
+                                                          rho, check):
     # each weight fits in a float, the closed-form ball integral does not
     payload = base_manifest()
     payload["loops"][0]["weights"] = [10 ** 290, 1]
-    payload["local_model"] = {"rho": 1e3, "delta": 1e4, "r": 1e5}
+    payload["local_model"] = {"rho": rho, "delta": 1e4, "r": 1e5}
     path = write_manifest(tmp_path, payload)
     # refused before any quadrature overflows, so with one line and no warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert cli.main(["verify", path, "--check", "integrals"]) == 2
+        assert cli.main(["verify", path, "--check", check]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()

@@ -279,7 +279,7 @@ def test_s1_invariance_callable_needs_params():
 
 def test_unitary_loop_diagonal_action():
     loop = UnitaryLoop.diagonal((1, 0))
-    out = loop.apply(0.25, np.array([1.0, 1.0], dtype=complex))
+    out = loop.matrix(0.25) @ np.array([1.0, 1.0], dtype=complex)
     assert out[0] == pytest.approx(-1j, abs=1e-15)
     assert out[1] == pytest.approx(1.0, abs=1e-15)
 
@@ -316,7 +316,7 @@ def test_pullback_identity_map():
 def test_pullback_diagonal_unitary():
     p = params_n2(rho=0.4)
     loop = UnitaryLoop.diagonal((1, 2))
-    result = symplectic_pullback_check(lambda z: loop.apply(0.3, z), p,
+    result = symplectic_pullback_check(lambda z: loop.matrix(0.3) @ z, p,
                                        grid=500, seed=2)
     assert result.passed
     assert result.extras["conjugation"] <= 1e-12
@@ -335,7 +335,7 @@ def test_pullback_standard_form_on_explicit_grid():
     p = params_n2(rho=0.4)
     pts = np.array([[0.3 + 0.1j, 0.2j], [0.5, 0.1 - 0.2j]])
     loop = UnitaryLoop.diagonal((2, 1))
-    result = symplectic_pullback_check(lambda z: loop.apply(0.7, z), p,
+    result = symplectic_pullback_check(lambda z: loop.matrix(0.7) @ z, p,
                                        reference_form="standard", grid=pts)
     assert result.samples == 2
     assert result.max_deviation <= 1e-8

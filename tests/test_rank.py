@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 from blowup.exact_field import membership_in_lattice
 from blowup.period import class_order
 from blowup.rank import (
-    _independence_flags,
-    _orient,
     certify_rank,
     integer_kernel,
     lemma_num_check,
@@ -101,6 +99,20 @@ def test_integer_kernel_zero_matrix():
         assert in_lattice(c, basis)
 
 
+def _orient(vector):
+    """Flip sign so the first nonzero entry is positive."""
+    for v in vector:
+        if v > 0:
+            return vector
+        if v < 0:
+            return tuple(-x for x in vector)
+    return vector
+
+
+def first_nonzero_positive(vector):
+    return next(v for v in vector if v) > 0
+
+
 def dense_integer_kernel(rows):
     """Row-major reference: the same column operations on a dense identity."""
     k = len(rows[0])
@@ -145,6 +157,7 @@ def test_integer_kernel_matches_brute_force(rows):
     basis = integer_kernel(rows)
     assert basis == dense_integer_kernel(rows)
     for vector in basis:
+        assert first_nonzero_positive(vector)
         assert all(sum(r * x for r, x in zip(row, vector)) == 0 for row in rows)
     for c in brute_force_kernel_members(rows, 3):
         assert in_lattice(c, basis)
@@ -209,7 +222,7 @@ def test_certify_rank_three_coprime():
     assert certificate.generators_independent == (True, True, True)
     assert certificate.orders_pairwise_coprime
     assert all(certificate.generator_orders_infinite)
-    assert "rank: 2" in certificate.report()
+    assert certificate.report().splitlines()[0] == "rank 2, kernel basis (4,-9,5)"
 
 
 def test_certify_rank_equal_orders_flagged():
@@ -362,10 +375,16 @@ def test_certify_rank_two_hundred_generators():
     assert certificate.rank == 2
     assert len(certificate.kernel_basis) == 200 - certificate.rank
     for vector in certificate.kernel_basis:
+        assert first_nonzero_positive(vector)
         assert sum(c * x for c, x in zip(vector, base_row)) == 0
         assert sum(c * x for c, x in zip(vector, weight_row)) == 0
-    assert certificate.generators_independent == \
-        _independence_flags(certificate.kernel_basis, 200)
+    # the r-th coordinates of the kernel form d*Z; generator r is
+    # independent of the others unless d = 1
+    gcds = []
+    for r in range(200):
+        coords = [abs(v[r]) for v in certificate.kernel_basis if v[r] != 0]
+        gcds.append(math.gcd(*coords) if coords else 0)
+    assert certificate.generators_independent == tuple(d != 1 for d in gcds)
     scale = math.lcm(*(f.denominator for f in base_row))
     int_rows = [[int(f * scale) for f in base_row], [int(w) for w in weight_row]]
     assert list(certificate.kernel_basis) == dense_integer_kernel(int_rows)
