@@ -246,9 +246,27 @@ class TauRat:
         return self.num.is_zero
 
     def __add__(self, other):
+        """Sum, with no gcd when one summand is a polynomial.
+
+        With b/1 + a/d the pair (a + b*d, d) is already canonical: d is
+        monic and gcd(a + b*d, d) = gcd(a, d) = 1.  Equal denominators
+        add numerators over d and cancel from there (Knuth, TAOCP vol. 2,
+        4.5.1); any other pair is cross-multiplied.
+        """
         other = _as_taurat(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.den.degree == 0 or other.den.degree == 0:
+            poly, frac = (self, other) if self.den.degree == 0 else (other, self)
+            num = frac.num + poly.num * frac.den
+            if num.is_zero:
+                return TauRat()
+            result = object.__new__(TauRat)
+            result.num = num
+            result.den = frac.den
+            return result
+        if self.den == other.den:
+            return TauRat(self.num + other.num, self.den)
         return TauRat(self.num * other.den + other.num * self.den,
                       self.den * other.den)
 

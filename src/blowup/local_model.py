@@ -31,14 +31,18 @@ tolerance, and a skipped-sample count; finite differences are central
 with step 1e-5.
 
 The batched chart kernel of the package lives here, and quadrature.py
-imports it: _realify/_complexify, the chart map _chart on (N, 2n) rows,
-the central-difference Jacobian _jacobian of a batched real map,
+imports it: _realify/_complexify, the chart map _chart, which scales
+real (N, 2n) rows by beta(|x|)/|x| with no complex round trip, the
+central-difference Jacobian _jacobian of a batched real map,
 LocalHamiltonian.values, and _shell_samples, the uniform sampler of a
 ball or shell from which every Monte-Carlo integral and seeded check
-draws.  Checks run it over all their seeded samples at once; per-point
+draws.  _jacobian calls its map twice, on all "+step" and then all
+"-step" copies of the rows, and returns a C-contiguous array, since the
+@ products of the checks round differently on a transposed view.  Checks
+run the kernel over all their seeded samples at once; per-point
 callables (a bare Hamiltonian, map_fn, matrix_fn) go through the row
-loop _rows.  symplectic_pullback_check takes its map as
-an (n, n) complex matrix or as such a callable.  Deviations are reduced
+loop _rows.  symplectic_pullback_check takes its map as an (n, n)
+complex matrix or as such a callable.  Deviations are reduced
 with np.max, so a NaN sample gives a NaN deviation, which never passes.
 """
 
@@ -135,24 +139,24 @@ def _slope_margin(rho, delta, r):
     return min(g(u) for u in candidates)
 
 
+def _band(arr, params):
+    """Position of each radius in the transition band, clipped to [0, 1]."""
+    return np.clip((arr - params.delta) / params.width, 0.0, 1.0)
+
+
 def _profile_raw(arr, params):
-    """Profile value and derivative, no domain check, exact at the ends.
+    """Profile value, no domain check, exact at the ends.
 
     Where chi vanishes the value is the radius itself (not sqrt(s^2), which
-    can be off by an ulp) and the slope is exactly 1; at radius 0 the value
-    is exactly rho.  The formula extends past r by the identity, which the
-    clipped step gives for free; callers that need the [0, r] domain guard
-    go through beta_profile.
+    can be off by an ulp); at radius 0 it is exactly rho.  The formula
+    extends past r by the identity, which the clipped step gives for free;
+    callers that need the [0, r] domain guard, or the slope, go through
+    beta_profile.
     """
-    rho2 = params.rho * params.rho
-    u = np.clip((arr - params.delta) / params.width, 0.0, 1.0)
-    chi = 1.0 - _smoothstep(u)
-    chi_prime = -_smoothstep_prime(u) / params.width
-    value = np.sqrt(rho2 * chi + arr * arr)
+    chi = 1.0 - _smoothstep(_band(arr, params))
+    value = np.sqrt(params.rho * params.rho * chi + arr * arr)
     value = np.where(chi == 0.0, arr, value)
-    value = np.where(arr == 0.0, params.rho, value)
-    deriv = (rho2 * chi_prime + 2.0 * arr) / (2.0 * value)
-    return value, deriv
+    return np.where(arr == 0.0, params.rho, value)
 
 
 def beta_profile(s, params):
@@ -165,7 +169,9 @@ def beta_profile(s, params):
     arr = np.asarray(s, dtype=float)
     if np.any(arr < 0) or np.any(arr > params.r):
         raise ValueError("radius outside [0, r]")
-    value, deriv = _profile_raw(arr, params)
+    value = _profile_raw(arr, params)
+    chi_prime = -_smoothstep_prime(_band(arr, params)) / params.width
+    deriv = (params.rho * params.rho * chi_prime + 2.0 * arr) / (2.0 * value)
     if np.ndim(s) == 0:
         return float(value), float(deriv)
     return value, deriv
@@ -184,22 +190,40 @@ def _complexify(coords):
 
 
 def _chart(coords, params):
-    """Realified chart map on an (N, 2n) real array, rows nonzero."""
-    points = _complexify(coords)
-    radii = np.linalg.norm(coords, axis=-1)
-    value, _ = _profile_raw(radii, params)
-    return _realify(points * (value / radii)[..., None])
+    """Realified chart map on an (N, 2n) real array, rows nonzero.
+
+    The radii are np.linalg.norm's own expression for real rows, and the
+    rows are scaled as real numbers: a complex number times a real one
+    rounds each component as this real product does.  Only a negative
+    zero component differs, kept here where the complex product gave
+    +0.0; its value, and every sum it enters, is the same.
+    """
+    radii = np.sqrt(np.add.reduce(coords * coords, axis=-1))
+    return coords * (_profile_raw(radii, params) / radii)[..., None]
 
 
 def _jacobian(real_map, coords, step=FD_STEP):
-    """(N, 2n, 2n) central-difference Jacobians of a batched real map."""
+    """(N, 2n, 2n) central-difference Jacobians of a batched real map.
+
+    real_map runs twice: once on all 2n "+step" copies of the rows, once on
+    all 2n "-step" copies, each stacked as one (2n*N, 2n) batch.  Every
+    entry is still rounded as (F(x + h e_k) - F(x - h e_k)) / (2h) of its
+    own row.  The differences are taken in place in a C-contiguous result,
+    because the @ products that callers form round differently on a
+    transposed view.
+    """
     count, dim = coords.shape
+    bumps = np.eye(dim) * step
+
+    def bumped(op):
+        # values[k, i, j] is component j of the map at row i bumped in k
+        values = real_map(op(coords[None], bumps[:, None]).reshape(-1, dim))
+        return values.reshape(dim, count, dim).transpose(1, 2, 0)
+
     jac = np.empty((count, dim, dim))
-    for k in range(dim):
-        bump = np.zeros(dim)
-        bump[k] = step
-        jac[:, :, k] = (real_map(coords + bump)
-                        - real_map(coords - bump)) / (2 * step)
+    jac[...] = bumped(np.add)
+    jac -= bumped(np.subtract)
+    jac /= 2 * step
     return jac
 
 

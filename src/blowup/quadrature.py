@@ -23,10 +23,11 @@ The pushforward checks integrate the same Hamiltonian twice: once on the
 annulus directly and once pulled back through the radial chart map, with
 the chart Jacobian determinant obtained by central finite differences
 rather than its closed form, so the two sides are independent; its
-nodes and determinants are cached per chart and order.  The chart map,
-its finite-difference Jacobian, the coordinate helpers, the batched
-Hamiltonian and the ball-and-shell sampler are the shared kernel of
-local_model.py.
+nodes and determinants are cached per chart and order.  The chart map on
+real rows, its finite-difference Jacobian (two batched map calls per
+block, whatever n, into a C-contiguous result), the coordinate helpers,
+the batched Hamiltonian and the ball-and-shell sampler are the shared
+kernel of local_model.py.
 """
 
 from __future__ import annotations
@@ -208,7 +209,7 @@ def _pullback_rule(n, rho, delta, r, order):
     panel = np.repeat(np.arange(len(cuts) - 1), order)
     keep = s >= 1e-8
     s, w, panel = s[keep], w[keep], panel[keep]
-    beta, _ = _profile_raw(s, params)
+    beta = _profile_raw(s, params)
     coords = np.zeros((len(s), 2 * n))
     coords[:, 0] = s
     dets = np.linalg.det(_jacobian(lambda x: _chart(x, params), coords))

@@ -142,6 +142,9 @@ class RankCertificate:
 
         The relation line lists every kernel vector; zero entries, most of
         them once k is large, reuse one "0" rather than a str() call each.
+        The note on coprime orders claims every relation coefficient is a
+        non-unit, so it is printed only when no generator is expressible
+        through the others.
         """
         if self.kernel_basis:
             relations = "; ".join(
@@ -163,7 +166,8 @@ class RankCertificate:
         else:
             dependent = [i for i, ok in enumerate(self.generators_independent) if not ok]
             lines.append("generators expressible through the others: %s" % (dependent,))
-        if self.orders_pairwise_coprime and self.kernel_basis:
+        if (self.orders_pairwise_coprime and self.kernel_basis
+                and all(self.generators_independent)):
             lines.append("note: orders are pairwise coprime, yet relations with "
                          "non-unit coefficients exist; the lifted values span a "
                          "rational plane, so the rank cannot exceed two")

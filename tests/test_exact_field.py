@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from blowup.exact_field import (
@@ -125,6 +125,30 @@ def test_field_axioms(x, y, z):
     assert x * (y + z) == x * y + x * z
     if not x.is_zero:
         assert x * (ONE / x) == ONE
+
+
+def cross_multiplied_sum(x, y):
+    return TauRat(x.num * y.den + y.num * x.den, x.den * y.den)
+
+
+@given(taurats(), taupolys(),
+       st.sampled_from(["equal", "polynomial", "cancelling"]))
+# 1/(t^2 - 1) + t/(t^2 - 1) = 1/(t - 1): an equal-denominator sum that
+# cancels a factor of the denominator
+@example(TauRat(1, TauPoly([-1, 0, 1])), TauPoly([0, 1]), "equal")
+@settings(max_examples=80, deadline=None)
+def test_sum_shortcuts_match_cross_multiplied_sum(x, p, kind):
+    if kind == "equal":
+        # y keeps x's denominator unless p shares a factor with it
+        y = TauRat(p, x.den)
+        assume(y.den == x.den)
+    elif kind == "polynomial":
+        y = TauRat(p)
+    else:
+        y = -x + TauRat(p)
+    # == compares the canonical parts, so this also pins the zero's den 1
+    assert x + y == y + x == cross_multiplied_sum(x, y)
+    assert x - x == TauRat()
 
 
 @given(

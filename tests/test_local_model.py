@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blowup.local_model import (
+    FD_STEP,
     CheckResult,
     DivisorDirection,
     LocalHamiltonian,
@@ -22,6 +23,11 @@ from blowup.local_model import (
     s1_invariance_check,
     symplectic_pullback_check,
     vector_field_relation_check,
+    _chart,
+    _complexify,
+    _jacobian,
+    _realify,
+    _rows,
 )
 
 
@@ -438,6 +444,130 @@ def test_unitary_loop_batched_matches_pointwise():
     for t, z, field in zip(times, points, stacked):
         assert np.max(np.abs(loop.vector_field(t, z) - field)) <= 1e-12
     assert np.max(np.abs(loop.matrix(times)[2] - loop.matrix(times[2]))) == 0.0
+
+
+# ------------------------------------------- kernel against the complex one
+#
+# The chart kernel scales real rows and builds the Jacobian from two map
+# calls.  These references are the formulation it replaced: one profile
+# function returning value and slope, a chart through complex numbers and
+# np.linalg.norm, and one pair of map calls per Jacobian column.  Every
+# output must match them bit for bit.
+
+
+def reference_profile(arr, params):
+    rho2 = params.rho * params.rho
+    u = np.clip((arr - params.delta) / params.width, 0.0, 1.0)
+    chi = 1.0 - u * u * u * (10.0 + u * (-15.0 + 6.0 * u))
+    chi_prime = -(30.0 * u * u * (1.0 - u) ** 2) / params.width
+    value = np.sqrt(rho2 * chi + arr * arr)
+    value = np.where(chi == 0.0, arr, value)
+    value = np.where(arr == 0.0, params.rho, value)
+    deriv = (rho2 * chi_prime + 2.0 * arr) / (2.0 * value)
+    return value, deriv
+
+
+def reference_chart(coords, params):
+    points = _complexify(coords)
+    radii = np.linalg.norm(coords, axis=-1)
+    value, _ = reference_profile(radii, params)
+    return _realify(points * (value / radii)[..., None])
+
+
+def reference_jacobian(real_map, coords, step=FD_STEP):
+    count, dim = coords.shape
+    jac = np.empty((count, dim, dim))
+    for k in range(dim):
+        bump = np.zeros(dim)
+        bump[k] = step
+        jac[:, :, k] = (real_map(coords + bump)
+                        - real_map(coords - bump)) / (2 * step)
+    return jac
+
+
+def banded_rows(n, params, seed):
+    """Rows in all three profile bands, plus radius exactly delta and r - delta.
+
+    The axis rows have exact radii, since sqrt(x*x) == |x| in binary
+    floating point.
+    """
+    rng = np.random.default_rng(seed)
+    bands = [(1e-3, params.delta), (params.delta, params.r - params.delta),
+             (params.r - params.delta, params.r)]
+    directions = rng.standard_normal((3 * 8, 2 * n))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    radii = np.concatenate([rng.uniform(a, b, 8) for a, b in bands])
+    axis = np.zeros((4, 2 * n))
+    axis[np.arange(4), rng.integers(0, 2 * n, 4)] = [
+        params.delta, -params.delta, params.r - params.delta,
+        -(params.r - params.delta)]
+    return np.concatenate([directions * radii[:, None], axis])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_chart_matches_complex_reference_bit_for_bit(n):
+    p = LocalModelParams(n=n, rho=0.4, delta=0.2, r=1.0)
+    rows = banded_rows(n, p, seed=n)
+    assert _chart(rows, p).tobytes() == reference_chart(rows, p).tobytes()
+    # a negative zero component stays negative in the real product, where
+    # the complex product made it +0.0; the values are still equal
+    signed = -rows[-4:]
+    assert np.array_equal(_chart(signed, p), reference_chart(signed, p))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_chart_jacobian_matches_per_column_reference_bit_for_bit(n):
+    p = LocalModelParams(n=n, rho=0.4, delta=0.2, r=1.0)
+    rows = banded_rows(n, p, seed=10 + n)
+    jac = _jacobian(lambda x: _chart(x, p), rows)
+    expected = reference_jacobian(lambda x: reference_chart(x, p), rows)
+    assert jac.tobytes() == expected.tobytes()
+    assert (np.linalg.det(jac).tobytes()
+            == np.linalg.det(expected).tobytes())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_map_jacobians_match_per_column_reference_bit_for_bit(n):
+    p = LocalModelParams(n=n, rho=0.4, delta=0.2, r=1.0)
+    rows = banded_rows(n, p, seed=20 + n)
+    matrix = random_unitary(n, seed=n)
+    # the matrix map of symplectic_pullback_check, and a per-point callable
+    by_matrix = lambda x: _realify(
+        (matrix @ _complexify(x)[..., None])[..., 0])
+    by_rows = lambda x: _realify(_rows(
+        lambda z: z * np.exp(1j * abs(z[0]) ** 2))(_complexify(x)))
+    for real_map in (by_matrix, by_rows):
+        assert (_jacobian(real_map, rows).tobytes()
+                == reference_jacobian(real_map, rows).tobytes())
+
+
+def test_jacobian_calls_its_map_twice_into_a_contiguous_array():
+    p = LocalModelParams(n=3, rho=0.4, delta=0.2, r=1.0)
+    rows = banded_rows(3, p, seed=5)
+    batches = []
+
+    def counting_chart(x):
+        batches.append(len(x))
+        return _chart(x, p)
+
+    jac = _jacobian(counting_chart, rows)
+    assert batches == [6 * len(rows)] * 2
+    assert jac.shape == (len(rows), 6, 6)
+    assert jac.flags.c_contiguous
+
+
+def test_beta_slope_matches_reference_bit_for_bit():
+    p = LocalModelParams(n=2, rho=0.4, delta=0.2, r=1.0)
+    s = np.concatenate([np.linspace(0.0, 1.0, 1001),
+                        [p.delta, p.r - p.delta]])
+    value, slope = beta_profile(s, p)
+    expected_value, expected_slope = reference_profile(s, p)
+    assert value.tobytes() == expected_value.tobytes()
+    assert slope.tobytes() == expected_slope.tobytes()
+    for point in (0.1, p.delta, 0.5, p.r - p.delta, p.r):
+        scalar = beta_profile(point, p)
+        assert scalar == tuple(float(v) for v in
+                               reference_profile(np.float64(point), p))
 
 
 # ------------------------------------------------------------ fail closed

@@ -238,14 +238,20 @@ def test_certify_rank_equal_orders_flagged():
 
 
 def test_certify_rank_coprime_but_dependent_is_noted():
-    loops = [
-        CircleLoopSpec(weights=(2, 1), C=Fraction(1, 2)),
-        CircleLoopSpec(weights=(1, 1), C=Fraction(1, 3)),
+    cases = [
+        ([CircleLoopSpec(weights=(2, 1), C=Fraction(1, 2)),
+          CircleLoopSpec(weights=(1, 1), C=Fraction(1, 3))], True),
+        # kernel basis (1, 0): generator 0 is expressible through the
+        # others, so a relation with a unit coefficient exists
+        ([CircleLoopSpec(weights=(1, -1), C=Fraction(0)),
+          CircleLoopSpec(weights=(1, 1), C=Fraction(1, 2))], False),
     ]
-    certificate = certify_rank(loops, M2)
-    assert certificate.rank == 1
-    assert certificate.orders_pairwise_coprime
-    assert "non-unit coefficients" in certificate.report()
+    for loops, noted in cases:
+        certificate = certify_rank(loops, M2)
+        assert certificate.rank == 1
+        assert certificate.orders_pairwise_coprime
+        assert all(certificate.generators_independent) is noted
+        assert ("non-unit coefficients" in certificate.report()) is noted
 
 
 def test_relation_kernel_rejects_empty():
