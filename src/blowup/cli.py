@@ -131,8 +131,16 @@ def load_manifest(path):
             raw = json.load(handle, parse_constant=_reject_constant)
     except OSError as exc:
         raise ManifestError("cannot read manifest: %s" % exc) from None
+    except ManifestError:
+        raise
     except json.JSONDecodeError as exc:
         raise ManifestError("manifest is not valid JSON: %s" % exc) from None
+    except ValueError as exc:
+        # bytes that are not UTF-8, or an integer past the interpreter's
+        # int-to-string digit limit
+        raise ManifestError("manifest cannot be read: %s" % exc) from None
+    except RecursionError:
+        raise ManifestError("manifest is nested too deeply") from None
     _require_keys(raw, ("manifold",), ("loops", "local_model", "seed"),
                   "manifest")
     mani = raw["manifold"]
@@ -298,8 +306,9 @@ def _require_ball_integral_range(loop, manifold, radius):
     The closed form -K t^(n+1)/(n+1)! + C t^n is checked term by term at
     t = pi*radius^2, since the two terms can cancel where each overflows.
     """
-    t = Fraction(math.pi * radius * radius)
     try:
+        # Fraction of an infinite pi*radius^2 raises OverflowError as well
+        t = Fraction(math.pi * radius * radius)
         for power, coefficient in enumerate(
                 ball_integral_closed_form(loop, manifold).num.coeffs):
             float(coefficient * t ** power)
@@ -378,6 +387,10 @@ def cmd_verify(manifest, which, out=None):
                                   **manifest.local_model)
     except ValueError as exc:
         raise ManifestError(str(exc)) from None
+    if not math.isfinite(math.pi * params.r * params.r):
+        # every check squares radii up to r
+        raise ManifestError("local_model.r = %g is too large: pi*r^2 does "
+                            "not fit in a float" % params.r)
     rows = _verify_rows(manifest, params, which)
     for row in rows:
         print(row.line(), file=out)

@@ -33,17 +33,22 @@ with step 1e-5.
 The batched chart kernel of the package lives here, and quadrature.py
 imports it: _realify/_complexify, the chart map _chart, which scales
 real (N, 2n) rows by beta(|x|)/|x| with no complex round trip, the
-central-difference Jacobian _jacobian of a batched real map,
-LocalHamiltonian.values, and _shell_samples, the uniform sampler of a
-ball or shell from which every Monte-Carlo integral and seeded check
-draws.  _jacobian calls its map twice, on all "+step" and then all
-"-step" copies of the rows, and returns a C-contiguous array, since the
-@ products of the checks round differently on a transposed view.  Checks
-run the kernel over all their seeded samples at once; per-point
+central-difference Jacobian _jacobian of a batched real map, the axis
+derivatives _radial_jacobian of the chart, LocalHamiltonian.values, and
+_shell_samples, the uniform sampler of a ball or shell from which every
+Monte-Carlo integral and seeded check draws.  _jacobian calls its map
+twice, on all "+step" and then all "-step" copies of the rows, and
+returns a C-contiguous array, since the @ products of the checks round
+differently on a transposed view.  _radial_jacobian calls _chart once,
+at the axis point (s, 0, ..., 0) of each radius, and returns the radial
+and tangential entries of the diagonal DF there, bit for bit those of
+_jacobian; both chart pullbacks of quadrature.py take det DF from them.
+Checks run the kernel over all their seeded samples at once; per-point
 callables (a bare Hamiltonian, map_fn, matrix_fn) go through the row
 loop _rows.  symplectic_pullback_check takes its map as an (n, n)
-complex matrix or as such a callable.  Deviations are reduced
-with np.max, so a NaN sample gives a NaN deviation, which never passes.
+complex matrix or as such a callable.  Deviations are reduced with
+np.max, so a NaN sample gives a NaN deviation, which never passes, and
+a check that samples nothing fails.
 """
 
 from __future__ import annotations
@@ -227,6 +232,31 @@ def _jacobian(real_map, coords, step=FD_STEP):
     return jac
 
 
+def _radial_jacobian(s, params, step=FD_STEP):
+    """(radial, tangential) central-difference chart derivatives at radii s.
+
+    The chart is unitary-equivariant, F(Ux) = U F(x), so DF at any point of
+    radius s is U DF U^-1 at the axis point (s, 0, ..., 0), where it is
+    diagonal:
+    one radial entry and 2n - 1 equal tangential ones, and
+    det DF = radial * tangential^(2n - 1).  _chart runs once, on the rows
+    (s + h, 0), (s - h, 0), (s, h) and (s, -h) stacked as a (4N, 2) batch;
+    a zero coordinate adds nothing to a radius, so each entry equals the
+    matching diagonal entry of _jacobian at the axis point bit for bit.
+    """
+    s = np.asarray(s, dtype=float)
+    rows = np.zeros((4, len(s), 2))
+    rows[0, :, 0] = s + step
+    rows[1, :, 0] = s - step
+    rows[2:, :, 0] = s
+    rows[2, :, 1] = step
+    rows[3, :, 1] = -step
+    images = _chart(rows.reshape(-1, 2), params).reshape(rows.shape)
+    radial = (images[0, :, 0] - images[1, :, 0]) / (2 * step)
+    tangential = (images[2, :, 1] - images[3, :, 1]) / (2 * step)
+    return radial, tangential
+
+
 def _rows(fn):
     """Batched form of a per-point callable: fn applied to each row."""
     return lambda points: np.array([fn(z) for z in points])
@@ -325,7 +355,8 @@ class CheckResult:
 
     @property
     def passed(self):
-        return self.max_deviation <= self.tolerance
+        """Within tolerance on at least one sample; NaN never passes."""
+        return self.samples > 0 and self.max_deviation <= self.tolerance
 
     def as_dict(self):
         return {

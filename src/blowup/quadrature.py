@@ -21,11 +21,17 @@ replaced (_default_samples).
 
 The pushforward checks integrate the same Hamiltonian twice: once on the
 annulus directly and once pulled back through the radial chart map, with
-the chart Jacobian determinant obtained by central finite differences
-rather than its closed form, so the two sides are independent; its
-nodes and determinants are cached per chart and order.  The chart map on
-real rows, its finite-difference Jacobian (two batched map calls per
-block, whatever n, into a C-contiguous result), the coordinate helpers,
+the chart Jacobian determinant obtained by central finite differences of
+the chart rather than its closed form, so the two sides are independent.
+Both schemes take it by one rule, _radial_jacobian: the chart is
+unitary-equivariant, so DF at radius s is conjugate by a unitary to DF
+at the axis point (s, 0, ..., 0), where it is diagonal, and det DF is
+exactly radial * tangential^(2n-1) there and on the whole sphere.  No
+sample builds a 2n x 2n Jacobian or factors one.  product-gauss folds
+the volume factor in as radial * (s * tangential)^(2n-1), which is
+s^(2n-1) det DF and stays below r^(2n-1) where det DF itself overflows
+(near the origin at n = 60), and caches it per chart and order.  The
+chart map on real rows, its axis derivatives, the coordinate helpers,
 the batched Hamiltonian and the ball-and-shell sampler are the shared
 kernel of local_model.py.
 """
@@ -40,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .local_model import (CheckResult, LocalModelParams, _chart, _complexify,
-                          _jacobian, _profile_raw, _shell_samples)
+                          _profile_raw, _radial_jacobian, _shell_samples)
 
 __all__ = [
     "IntegralResult",
@@ -196,26 +202,29 @@ def integrate_ball(h, radius, n, scheme="product-gauss", order=32,
 
 @functools.lru_cache(maxsize=32)
 def _pullback_rule(n, rho, delta, r, order):
-    """Nodes, weights, panel indices, beta(s), det DF and skipped count.
+    """Nodes, weights, panel indices, beta(s), pullback weights and skipped.
 
     The part of _gauss_pullback that no Hamiltonian enters, cached
-    read-only, so every check on one chart builds one Jacobian per order.
+    read-only, so every check on one chart takes one set of chart
+    derivatives per order.  The pullback weight at node s is
+    s^(2n-1) det DF, formed as radial * (s * tangential)^(2n-1) from
+    _radial_jacobian: s * tangential is about beta(s) <= r, so no factor
+    overflows, where det DF alone grows like (rho/s)^(2n-2) at the origin.
     """
     params = LocalModelParams(n, rho, delta, r)
     cuts = (0.0, delta, r - delta, r)
-    # all panels share one Jacobian call; each panel still sums on its own
+    # all panels share one chart call; each panel still sums on its own
     s, w = np.concatenate([_gauss_nodes(a, b, order)
                            for a, b in zip(cuts[:-1], cuts[1:])], axis=1)
     panel = np.repeat(np.arange(len(cuts) - 1), order)
     keep = s >= 1e-8
     s, w, panel = s[keep], w[keep], panel[keep]
     beta = _profile_raw(s, params)
-    coords = np.zeros((len(s), 2 * n))
-    coords[:, 0] = s
-    dets = np.linalg.det(_jacobian(lambda x: _chart(x, params), coords))
-    for array in (s, w, panel, beta, dets):
+    radial, tangential = _radial_jacobian(s, params)
+    pulled = radial * (s * tangential) ** (2 * n - 1)
+    for array in (s, w, panel, beta, pulled):
         array.flags.writeable = False
-    return s, w, panel, beta, dets, int(np.count_nonzero(~keep))
+    return s, w, panel, beta, pulled, int(np.count_nonzero(~keep))
 
 
 def _gauss_pullback(h, params, order):
@@ -223,15 +232,14 @@ def _gauss_pullback(h, params, order):
 
     Radial-angular factorization: the sphere average of H o F at radius s
     is the sphere average of H at radius beta(s), and det DF is constant
-    on spheres by unitary equivariance, so one finite-difference
-    determinant per radial node (at the point (s, 0, ..., 0)) suffices.
-    Panels split at the smoothstep kinks, where the profile is only C^2.
+    on spheres by unitary equivariance, so one axis derivative pair per
+    radial node (_radial_jacobian at (s, 0, ..., 0)) gives it, folded with
+    s^(2n-1) into the cached pullback weight.  Panels split at the
+    smoothstep kinks, where the profile is only C^2.
     """
-    n = params.n
-    area = _sphere_area(n)
-    s, w, panel, beta, dets, skipped = _pullback_rule(
-        n, params.rho, params.delta, params.r, order)
-    values = w * _radial_average(h, beta) * dets * area * s ** (2 * n - 1)
+    s, w, panel, beta, pulled, skipped = _pullback_rule(
+        params.n, params.rho, params.delta, params.r, order)
+    values = w * _radial_average(h, beta) * pulled * _sphere_area(params.n)
     total = sum(float(np.sum(values[panel == k])) for k in range(3))
     return total, skipped
 
@@ -240,9 +248,11 @@ def verify_annulus_pushforward(h, params, scheme="product-gauss", order=32,
                                samples=None, seed=MC_SEED):
     """Both sides of the chart change-of-variables identity, plus deviation.
 
-    Left: integral of (H o F) against the finite-difference chart Jacobian
-    over the punctured ball of radius r.  Right: integral of H over the
-    annulus rho < |z| <= r, computed with no reference to the chart.  The
+    Left: integral of (H o F) det DF over the punctured ball of radius r,
+    det DF taken by the axis rule of _radial_jacobian at each node's or
+    sample's radius, which equivariance makes exact on the whole sphere.
+    Right: integral of H over the annulus rho < |z| <= r, computed with no
+    reference to the chart.  The
     two parameterizations agree up to quadrature and finite-difference
     error; the returned deviation is relative to the right side's scale.
     monte-carlo draws each side in its own region, with its own seed, and
@@ -258,17 +268,18 @@ def verify_annulus_pushforward(h, params, scheme="product-gauss", order=32,
         shell = lambda k: _gauss_shell(h, params.rho, params.r, params.n, k)
         right = _gauss_result(shell(order), shell(half), order)
     elif scheme == "monte-carlo":
-        chart = lambda x: _chart(x, params)
         skipped = 0
 
         def pullback(coords):
             nonlocal skipped
-            near = np.linalg.norm(coords, axis=1) < 1e-8
+            radii = np.linalg.norm(coords, axis=1)
+            near = radii < 1e-8
             skipped += int(np.count_nonzero(near))
             values = np.zeros(len(coords))
-            inside = coords[~near]
-            dets = np.linalg.det(_jacobian(chart, inside))
-            values[~near] = h.values(_complexify(chart(inside))) * dets
+            radial, tangential = _radial_jacobian(radii[~near], params)
+            dets = radial * tangential ** (2 * params.n - 1)
+            images = _chart(coords[~near], params)
+            values[~near] = h.values(_complexify(images)) * dets
             return values
 
         left = _monte_carlo(pullback, params.n, params.r, samples, seed)

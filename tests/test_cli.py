@@ -264,6 +264,22 @@ def test_verify_rejects_ball_integral_too_large_for_float(tmp_path, capsys,
     assert "ball integral does not fit in a float" in lines[0]
 
 
+def test_verify_at_n_60_is_finite_and_passes(tmp_path, capsys):
+    payload = base_manifest()
+    payload["manifold"]["n"] = 60
+    payload["loops"] = [{"name": "ones", "weights": [1] * 60, "C": "0"}]
+    path = write_manifest(tmp_path, payload)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["verify", path]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = json.loads(captured.out.splitlines()[-1])
+    assert len(rows) == 8
+    assert all(math.isfinite(row["max_deviation"]) and row["pass"]
+               for row in rows)
+
+
 def test_verify_takes_weights_beyond_int64_as_floats(tmp_path, capsys):
     payload = base_manifest()
     payload["loops"][0]["weights"] = [10 ** 30, 1]
@@ -376,6 +392,52 @@ def test_invalid_json_exits_2(tmp_path, capsys):
     path.write_text("{not json")
     assert cli.main(["lift", str(path), "--loop", "x"]) == 2
     assert "JSON" in capsys.readouterr().err
+
+
+def assert_one_error_line(captured):
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("leaf", [
+    pytest.param("7" * 5_000, id="5000-digit-integer"),
+    pytest.param("[" * 100_000 + "]" * 100_000, id="nested-100000-deep"),
+    pytest.param('"\xff"', id="byte-not-utf-8"),
+])
+@pytest.mark.parametrize("command", ["lift", "verify"])
+def test_unparsable_json_leaf_exits_2(tmp_path, capsys, leaf, command):
+    text = json.dumps(base_manifest()).replace('"seed": 0', '"seed": ' + leaf)
+    path = tmp_path / "manifest.json"
+    path.write_bytes(text.encode("latin-1"))
+    argv = [command, str(path)] + (["--loop", "main"] if command == "lift"
+                                   else [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == 2
+    assert_one_error_line(capsys.readouterr())
+
+
+@pytest.mark.parametrize("check", ("all",) + cli.VERIFY_GROUPS)
+def test_verify_rejects_radius_whose_area_overflows(tmp_path, capsys, check):
+    # a valid profile, but pi*r^2 is past the float range
+    payload = base_manifest()
+    payload["local_model"] = {"rho": 1e150, "delta": 1e152, "r": 1e155}
+    path = write_manifest(tmp_path, payload)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["verify", path, "--check", check]) == 2
+    captured = capsys.readouterr()
+    assert_one_error_line(captured)
+    assert "pi*r^2" in captured.err
+
+
+def test_ball_integral_range_refuses_an_infinite_area():
+    loop = CircleLoopSpec(weights=(1, 2), C=Fraction(1, 2), name="main")
+    manifold = ManifoldSpec(n=2, V=Fraction(1), a=Fraction(1))
+    with pytest.raises(cli.ManifestError, match="does not fit in a float"):
+        cli._require_ball_integral_range(loop, manifold, 1e155)
 
 
 def test_width_bound_blocks_large_weight(tmp_path, capsys):

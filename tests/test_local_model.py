@@ -26,6 +26,7 @@ from blowup.local_model import (
     _chart,
     _complexify,
     _jacobian,
+    _radial_jacobian,
     _realify,
     _rows,
 )
@@ -383,6 +384,16 @@ def test_pullback_skips_and_counts_points_at_origin():
         assert result.passed
 
 
+def test_pullback_that_samples_nothing_fails():
+    result = symplectic_pullback_check(np.eye(2), params_n2(),
+                                       grid=np.zeros((5, 2), dtype=complex))
+    assert (result.samples, result.skipped) == (0, 5)
+    assert result.max_deviation == 0.0
+    assert result.passed is False
+    assert result.as_dict()["pass"] is False
+    assert result.line().endswith("FAIL")
+
+
 def test_pullback_rejects_misshapen_matrix():
     with pytest.raises(ValueError, match="matrix"):
         symplectic_pullback_check(np.eye(3), params_n2())
@@ -554,6 +565,39 @@ def test_jacobian_calls_its_map_twice_into_a_contiguous_array():
     assert batches == [6 * len(rows)] * 2
     assert jac.shape == (len(rows), 6, 6)
     assert jac.flags.c_contiguous
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_radial_jacobian_is_the_axis_diagonal_bit_for_bit(n):
+    # radii in all three profile bands, and on both band edges
+    p = LocalModelParams(n=n, rho=0.4, delta=0.2, r=1.0)
+    s = np.concatenate([np.linspace(1e-6, p.r, 1003),
+                        [p.delta, p.r - p.delta]])
+    axis = np.zeros((len(s), 2 * n))
+    axis[:, 0] = s
+    jac = _jacobian(lambda x: _chart(x, p), axis)
+    radial, tangential = _radial_jacobian(s, p)
+    diagonal = np.diagonal(jac, axis1=1, axis2=2)
+    assert radial.tobytes() == np.ascontiguousarray(diagonal[:, 0]).tobytes()
+    for k in range(1, 2 * n):
+        assert (tangential.tobytes()
+                == np.ascontiguousarray(diagonal[:, k]).tobytes())
+    off = jac.copy()
+    off[:, np.arange(2 * n), np.arange(2 * n)] = 0.0
+    assert not np.any(off)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_radial_jacobian_determinant_near_the_origin(n):
+    # det DF = beta' (beta/s)^(2n-1) in closed form; the axis rule keeps
+    # its finite-difference error small where det DF is large
+    p = LocalModelParams(n=n, rho=0.4, delta=0.2, r=1.0)
+    s = np.array([1e-3, 1e-2])
+    value, slope = beta_profile(s, p)
+    exact = slope * (value / s) ** (2 * n - 1)
+    radial, tangential = _radial_jacobian(s, p)
+    det = radial * tangential ** (2 * n - 1)
+    assert np.all(np.abs(det / exact - 1.0) <= 1e-3)
 
 
 def test_beta_slope_matches_reference_bit_for_bit():

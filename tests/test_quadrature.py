@@ -9,10 +9,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from blowup import cli, quadrature
+from blowup import cli, local_model, quadrature
 from blowup.exact_field import eval_at
-from blowup.local_model import (LocalHamiltonian, LocalModelParams, _chart,
-                                _complexify, _jacobian, _shell_samples)
+from blowup.local_model import (FD_STEP, LocalHamiltonian, LocalModelParams,
+                                _chart, _complexify, _jacobian,
+                                _radial_jacobian, _shell_samples)
 from blowup.quadrature import (
     MC_SEED,
     IntegralResult,
@@ -170,6 +171,17 @@ def test_annulus_zero_hamiltonian():
     assert deviation == 0.0
 
 
+def test_annulus_pullback_at_n_60_stays_finite():
+    # det DF reaches about (rho/s)^118 at the first Gauss node, past the
+    # float range; the folded weight s^(2n-1) det DF stays below r^(2n-1)
+    params = LocalModelParams(n=60, rho=0.4, delta=0.2, r=1.0)
+    h = LocalHamiltonian(weights=(1,) * 60)
+    left, right, _, skipped = verify_annulus_pushforward(h, params)
+    assert math.isfinite(left.value) and right.value != 0.0
+    assert abs(left.value - right.value) / abs(right.value) <= 1e-10
+    assert skipped == 0
+
+
 def test_annulus_monte_carlo_scheme():
     params = LocalModelParams(n=2, rho=0.3, delta=0.2, r=1.0)
     h = LocalHamiltonian(weights=(0, 0), c=1.0)
@@ -228,11 +240,17 @@ def test_normalized_lemma_shares_the_annulus_pullback():
 def test_verify_integrals_build_one_jacobian_per_order(monkeypatch):
     calls = []
 
-    def counting_jacobian(real_map, coords):
-        calls.append(len(coords))
-        return _jacobian(real_map, coords)
+    def counting_radial_jacobian(s, params):
+        calls.append(len(s))
+        return _radial_jacobian(s, params)
 
-    monkeypatch.setattr(quadrature, "_jacobian", counting_jacobian)
+    def no_full_jacobian(real_map, coords, step=FD_STEP):
+        raise AssertionError("a pullback built a full Jacobian")
+
+    monkeypatch.setattr(quadrature, "_radial_jacobian",
+                        counting_radial_jacobian)
+    monkeypatch.setattr(local_model, "_jacobian", no_full_jacobian)
+    assert not hasattr(quadrature, "_jacobian")
     quadrature._pullback_rule.cache_clear()
     manifest = cli.Manifest(
         manifold=ManifoldSpec(n=2, V=Fraction(1), a=Fraction(1)),
@@ -245,6 +263,11 @@ def test_verify_integrals_build_one_jacobian_per_order(monkeypatch):
     assert all(row.passed for row in rows)
     # orders 32 and 16, three panels each, shared by both loops and checks
     assert calls == [3 * 32, 3 * 16]
+    # the Monte-Carlo side takes the same axis rule, once per block
+    calls.clear()
+    h = LocalHamiltonian(weights=(1, 2), c=0.5)
+    verify_annulus_pushforward(h, params, "monte-carlo", samples=160)
+    assert calls == [10] * 16
 
 
 # ------------------------------------------- Monte-Carlo reference copies
@@ -360,13 +383,26 @@ def test_monte_carlo_ball_matches_reference(n, seed, samples):
     assert got.samples_or_order == samples
 
 
+def _reference_axis_det(coords, params):
+    """det DF at each row: the chart's central differences at the axis
+    point (s, 0) of the row's radius, one radial entry times 2n - 1 equal
+    tangential ones."""
+    s = np.linalg.norm(coords, axis=1)
+    zero = np.zeros_like(s)
+    chart = lambda x, y: _chart(np.stack([x, y], axis=1), params)
+    radial = ((chart(s + FD_STEP, zero)[:, 0] - chart(s - FD_STEP, zero)[:, 0])
+              / (2 * FD_STEP))
+    tangential = ((chart(s, zero + FD_STEP)[:, 1]
+                   - chart(s, zero - FD_STEP)[:, 1]) / (2 * FD_STEP))
+    return radial * tangential ** (2 * params.n - 1)
+
+
 @pytest.mark.parametrize("n,seed,samples", MC_CASES)
 def test_monte_carlo_pushforward_matches_reference(n, seed, samples):
     params = LocalModelParams(n=n, rho=0.3, delta=0.2, r=1.0)
     h = LocalHamiltonian(weights=tuple(range(n, 0, -1)), c=0.8)
-    chart = lambda x: _chart(x, params)
-    pulled_back = lambda x: (h.values(_complexify(chart(x)))
-                             * np.linalg.det(_jacobian(chart, x)))
+    pulled_back = lambda x: (h.values(_complexify(_chart(x, params)))
+                             * _reference_axis_det(x, params))
     got = verify_annulus_pushforward(h, params, "monte-carlo",
                                      samples=samples, seed=seed)
     assert (got.left.value, got.left.error_estimate) == _reference_mc_shell(
