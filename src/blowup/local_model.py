@@ -39,10 +39,11 @@ _shell_samples, the uniform sampler of a ball or shell from which every
 Monte-Carlo integral and seeded check draws.  _jacobian calls its map
 twice, on all "+step" and then all "-step" copies of the rows, and
 returns a C-contiguous array, since the @ products of the checks round
-differently on a transposed view.  _radial_jacobian calls _chart once,
-at the axis point (s, 0, ..., 0) of each radius, and returns the radial
-and tangential entries of the diagonal DF there, bit for bit those of
-_jacobian; both chart pullbacks of quadrature.py take det DF from them.
+differently on a transposed view.  _radial_jacobian takes _jacobian of
+the chart at the axis point (s, 0) of C^1 for each radius, and returns
+the radial and tangential entries of the diagonal DF there, bit for bit
+those of the full Jacobian at (s, 0, ..., 0); both chart pullbacks of
+quadrature.py take det DF from them.
 Checks run the kernel over all their seeded samples at once; per-point
 callables (a bare Hamiltonian, map_fn, matrix_fn) go through the row
 loop _rows.  symplectic_pullback_check takes its map as an (n, n)
@@ -98,6 +99,9 @@ class LocalModelParams:
             raise ValueError("need at least one complex coordinate")
         if not all(math.isfinite(x) for x in (rho, delta, r)):
             raise ValueError("rho, delta and r must be finite")
+        if not math.isfinite(math.pi * r * r):
+            # every check and integral squares radii up to r
+            raise ValueError("pi*r^2 must be finite; r = %g is too large" % r)
         if delta <= 0:
             raise ValueError("transition margin delta must be positive")
         if 2 * delta >= r:
@@ -232,29 +236,21 @@ def _jacobian(real_map, coords, step=FD_STEP):
     return jac
 
 
-def _radial_jacobian(s, params, step=FD_STEP):
+def _radial_jacobian(s, params):
     """(radial, tangential) central-difference chart derivatives at radii s.
 
     The chart is unitary-equivariant, F(Ux) = U F(x), so DF at any point of
     radius s is U DF U^-1 at the axis point (s, 0, ..., 0), where it is
-    diagonal:
-    one radial entry and 2n - 1 equal tangential ones, and
-    det DF = radial * tangential^(2n - 1).  _chart runs once, on the rows
-    (s + h, 0), (s - h, 0), (s, h) and (s, -h) stacked as a (4N, 2) batch;
-    a zero coordinate adds nothing to a radius, so each entry equals the
-    matching diagonal entry of _jacobian at the axis point bit for bit.
+    diagonal: one radial entry and 2n - 1 equal tangential ones, and
+    det DF = radial * tangential^(2n - 1).  Both are the diagonal of
+    _jacobian of the chart on the rows (s, 0) of C^1; a zero coordinate
+    adds nothing to a radius, so each equals the matching diagonal entry
+    of the full Jacobian at the axis point bit for bit.
     """
-    s = np.asarray(s, dtype=float)
-    rows = np.zeros((4, len(s), 2))
-    rows[0, :, 0] = s + step
-    rows[1, :, 0] = s - step
-    rows[2:, :, 0] = s
-    rows[2, :, 1] = step
-    rows[3, :, 1] = -step
-    images = _chart(rows.reshape(-1, 2), params).reshape(rows.shape)
-    radial = (images[0, :, 0] - images[1, :, 0]) / (2 * step)
-    tangential = (images[2, :, 1] - images[3, :, 1]) / (2 * step)
-    return radial, tangential
+    axis = np.zeros((len(s), 2))
+    axis[:, 0] = s
+    jac = _jacobian(lambda x: _chart(x, params), axis)
+    return jac[:, 0, 0], jac[:, 1, 1]
 
 
 def _rows(fn):

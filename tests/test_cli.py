@@ -433,13 +433,6 @@ def test_verify_rejects_radius_whose_area_overflows(tmp_path, capsys, check):
     assert "pi*r^2" in captured.err
 
 
-def test_ball_integral_range_refuses_an_infinite_area():
-    loop = CircleLoopSpec(weights=(1, 2), C=Fraction(1, 2), name="main")
-    manifold = ManifoldSpec(n=2, V=Fraction(1), a=Fraction(1))
-    with pytest.raises(cli.ManifestError, match="does not fit in a float"):
-        cli._require_ball_integral_range(loop, manifold, 1e155)
-
-
 def test_width_bound_blocks_large_weight(tmp_path, capsys):
     payload = base_manifest()
     payload["manifold"]["gromov_width"] = 0.4

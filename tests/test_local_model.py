@@ -59,7 +59,7 @@ def test_params_reject_weight_at_least_r():
 
 @pytest.mark.parametrize("bad", [
     {"rho": math.nan}, {"rho": -math.inf}, {"delta": math.nan},
-    {"delta": math.inf}, {"r": math.inf}, {"r": math.nan},
+    {"delta": math.inf}, {"r": math.inf}, {"r": math.nan}, {"r": 1e155},
 ])
 def test_params_reject_non_finite(bad):
     values = {"rho": 0.3, "delta": 0.2, "r": 1.0, **bad}

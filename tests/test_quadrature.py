@@ -13,7 +13,8 @@ from blowup import cli, local_model, quadrature
 from blowup.exact_field import eval_at
 from blowup.local_model import (FD_STEP, LocalHamiltonian, LocalModelParams,
                                 _chart, _complexify, _jacobian,
-                                _radial_jacobian, _shell_samples)
+                                _radial_jacobian, _shell_samples,
+                                beta_profile)
 from blowup.quadrature import (
     MC_SEED,
     IntegralResult,
@@ -239,17 +240,19 @@ def test_normalized_lemma_shares_the_annulus_pullback():
 
 def test_verify_integrals_build_one_jacobian_per_order(monkeypatch):
     calls = []
+    widths = []
 
     def counting_radial_jacobian(s, params):
         calls.append(len(s))
         return _radial_jacobian(s, params)
 
-    def no_full_jacobian(real_map, coords, step=FD_STEP):
-        raise AssertionError("a pullback built a full Jacobian")
+    def recording_jacobian(real_map, coords, step=FD_STEP):
+        widths.append(coords.shape[1])
+        return _jacobian(real_map, coords, step)
 
     monkeypatch.setattr(quadrature, "_radial_jacobian",
                         counting_radial_jacobian)
-    monkeypatch.setattr(local_model, "_jacobian", no_full_jacobian)
+    monkeypatch.setattr(local_model, "_jacobian", recording_jacobian)
     assert not hasattr(quadrature, "_jacobian")
     quadrature._pullback_rule.cache_clear()
     manifest = cli.Manifest(
@@ -268,6 +271,33 @@ def test_verify_integrals_build_one_jacobian_per_order(monkeypatch):
     h = LocalHamiltonian(weights=(1, 2), c=0.5)
     verify_annulus_pushforward(h, params, "monte-carlo", samples=160)
     assert calls == [10] * 16
+    # no pullback differentiates the chart off the axis rows (s, 0)
+    assert widths == [2] * 18
+
+
+@pytest.mark.parametrize("n, seed", [(2, 0), (2, 12), (2, 39), (3, 0),
+                                     (4, 0)])
+def test_monte_carlo_pullback_matches_closed_form_determinant(n, seed):
+    # the same draws weighted by det DF = beta' (beta/s)^(2n-1) in closed
+    # form: the axis rule's finite-difference error moves the left value
+    # by far less than its standard error.  Seeds 12 and 39 draw points
+    # near the origin, where det DF is large; a finite-difference det at
+    # each sample's own direction moves their left value by 1.2e-5 and
+    # 3.4e-5 standard errors.
+    params = LocalModelParams(n=n, rho=0.4, delta=0.2, r=1.0)
+    h = LocalHamiltonian(weights=tuple(range(1, n + 1)), c=0.3)
+    left = verify_annulus_pushforward(h, params, "monte-carlo",
+                                      seed=seed).left
+
+    def closed_form_pullback(coords):
+        radii = np.linalg.norm(coords, axis=1)
+        value, slope = beta_profile(radii, params)
+        dets = slope * (value / radii) ** (2 * n - 1)
+        return h.values(_complexify(_chart(coords, params))) * dets
+
+    exact = quadrature._monte_carlo(closed_form_pullback, n, params.r, None,
+                                    seed)
+    assert abs(left.value - exact.value) <= 1e-6 * exact.error_estimate
 
 
 # ------------------------------------------- Monte-Carlo reference copies
