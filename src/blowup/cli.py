@@ -46,6 +46,7 @@ from .local_model import (
 )
 from .period import class_order
 from .quadrature import (
+    _relative_deviation,
     integrate_ball,
     verify_annulus_pushforward,
     verify_normalized_lemma,
@@ -290,14 +291,23 @@ def _beta_invariants_check(params, grid=10_000):
                        max_deviation=float(deviation), tolerance=1e-12)
 
 
-def _require_float_range(loop):
-    """The numerical checks read a loop's weights and C as floats."""
+def _require_float_range(loop, params):
+    """Refuse a loop whose Hamiltonian on the r-ball overflows a float.
+
+    The numerical checks read the weights and C as floats and evaluate H
+    at radii up to r, where |H| <= pi*r^2*max|w_j| + |C|; that bound must
+    be finite too, since pi*r^2 alone being finite does not bound H.
+    """
     try:
-        for value in loop.weights + (loop.C,):
-            float(value)
+        weights = [abs(float(value)) for value in loop.weights]
+        size = math.pi * params.r * params.r * max(weights) + abs(
+            float(loop.C))
     except OverflowError:
         raise ManifestError("loop '%s': weights and C must fit in a float "
                             "for verify" % loop.name) from None
+    if not math.isfinite(size):
+        raise ManifestError("loop '%s': pi*r^2*max|w| + |C| must fit in a "
+                            "float for verify" % loop.name)
 
 
 def _require_ball_integral_range(loop, manifold, radius):
@@ -323,7 +333,7 @@ def _verify_rows(manifest, params, which):
     if which in ("beta", "all"):
         rows.append(_beta_invariants_check(params))
     for loop in loops:
-        _require_float_range(loop)
+        _require_float_range(loop, params)
         if which in ("integrals", "all"):
             # the r-ball is the largest region any quadrature row integrates;
             # refuse it before any check of this loop overflows on it
@@ -365,13 +375,13 @@ def _verify_rows(manifest, params, which):
             row = verify_normalized_lemma(h, params)
             row.check += label
             rows.append(row)
-            got = integrate_ball(LocalHamiltonian(weights=loop.weights),
-                                 params.rho, params.n)
-            scale = max(abs(expected), 1e-12)
+            quadratic_h = LocalHamiltonian(weights=loop.weights)
+            got = integrate_ball(quadratic_h, params.rho, params.n)
             rows.append(CheckResult(
                 check="ball-closed-form" + label,
                 samples=got.samples_or_order,
-                max_deviation=abs(got.value - expected) / scale,
+                max_deviation=_relative_deviation(got.value, expected,
+                                                  quadratic_h, params.rho),
                 tolerance=1e-5,
             ))
     return rows

@@ -30,20 +30,25 @@ Checks report a CheckResult carrying name, sample count, max deviation,
 tolerance, and a skipped-sample count; finite differences are central
 with step 1e-5.
 
-The batched chart kernel of the package lives here, and quadrature.py
-imports it: _realify/_complexify, the chart map _chart, which scales
-real (N, 2n) rows by beta(|x|)/|x| with no complex round trip, the
-central-difference Jacobian _jacobian of a batched real map, the axis
-derivatives _radial_jacobian of the chart, LocalHamiltonian.values, and
-_shell_samples, the uniform sampler of a ball or shell from which every
-Monte-Carlo integral and seeded check draws.  _jacobian calls its map
-twice, on all "+step" and then all "-step" copies of the rows, and
-returns a C-contiguous array, since the @ products of the checks round
-differently on a transposed view.  _radial_jacobian takes _jacobian of
-the chart at the axis point (s, 0) of C^1 for each radius, and returns
-the radial and tangential entries of the diagonal DF there, bit for bit
-those of the full Jacobian at (s, 0, ..., 0); both chart pullbacks of
-quadrature.py take det DF from them.
+The batched chart kernel of the package lives here: the coordinate
+helpers _realify/_complexify, the profile _profile_raw, the chart map
+_chart, which scales real (N, 2n) rows by beta(|x|)/|x| with no complex
+round trip, the central-difference Jacobian _jacobian of a batched real
+map, the axis derivatives _radial_jacobian of the chart,
+LocalHamiltonian.values, and one uniform ball-or-shell draw,
+_shell_draw, seen two ways: as points (_shell_samples, for the seeded
+checks) and as radii with weighted direction moments (_shell_moments,
+for every Monte-Carlo integral).  quadrature.py imports the profile,
+the axis derivatives and the moment draw.
+_jacobian calls its map twice, on all "+step" and then all "-step"
+copies of the rows, and returns a C-contiguous array, since the @
+products of the checks round differently on a transposed view.
+_radial_jacobian is _jacobian of the chart at the axis point (s, 0, ...,
+0) of each radius written out in one dimension: one profile call on the
+radii |s + h|, |s - h| and sqrt(s^2 + h^2) of the bumped rows gives the
+radial and tangential entries of the diagonal DF there, bit for bit
+those of the full Jacobian; both chart pullbacks of quadrature.py take
+det DF from them.
 Checks run the kernel over all their seeded samples at once; per-point
 callables (a bare Hamiltonian, map_fn, matrix_fn) go through the row
 loop _rows.  symplectic_pullback_check takes its map as an (n, n)
@@ -243,14 +248,23 @@ def _radial_jacobian(s, params):
     radius s is U DF U^-1 at the axis point (s, 0, ..., 0), where it is
     diagonal: one radial entry and 2n - 1 equal tangential ones, and
     det DF = radial * tangential^(2n - 1).  Both are the diagonal of
-    _jacobian of the chart on the rows (s, 0) of C^1; a zero coordinate
-    adds nothing to a radius, so each equals the matching diagonal entry
-    of the full Jacobian at the axis point bit for bit.
+    _jacobian of the chart at the axis rows, written out in one dimension:
+    the bumped rows (s +- h, 0) have radii |s +- h| and (s, +-h) the radius
+    t = sqrt(s^2 + h^2), so one profile call on the 3N radii gives
+
+        radial     = ((s + h) beta/|s + h| - (s - h) beta/|s - h|) / (2h)
+        tangential = (h beta(t)/t) / h,
+
+    the second being (h q - (-h q)) / (2h) with its exact factors of 2
+    cancelled.  Each rounds as the matching diagonal entry of the full
+    Jacobian at the axis point, bit for bit.
     """
-    axis = np.zeros((len(s), 2))
-    axis[:, 0] = s
-    jac = _jacobian(lambda x: _chart(x, params), axis)
-    return jac[:, 0, 0], jac[:, 1, 1]
+    h = FD_STEP
+    plus, minus = s + h, s - h
+    radii = np.concatenate([plus, np.abs(minus), np.sqrt(s * s + h * h)])
+    scale = (_profile_raw(radii, params) / radii).reshape(3, -1)
+    radial = (plus * scale[0] - minus * scale[1]) / (2 * h)
+    return radial, (h * scale[2]) / h
 
 
 def _rows(fn):
@@ -428,18 +442,46 @@ class UnitaryLoop:
                 / (2 * dt))[..., 0]
 
 
+def _shell_draw(rng, count, n, radius, inner=0.0):
+    """Gaussian rows (count, 2n) and radii (count,) of a uniform shell draw.
+
+    The radius is the one at which |x|^(2n) is uniform on
+    [inner^(2n), radius^(2n)] (Marsaglia 1972); a normalized Gaussian row
+    is a uniform direction (Muller 1959).  The normals are drawn first and
+    the uniforms second, so _shell_samples and _shell_moments, the two
+    views of one draw, take the same sample from one generator state.
+    """
+    normals = rng.standard_normal((count, 2 * n))
+    low = (inner / radius) ** (2 * n)
+    radii = radius * (low + (1.0 - low) * rng.random(count)) ** (0.5 / n)
+    return normals, radii
+
+
 def _shell_samples(rng, count, n, radius, inner=0.0):
     """(count, 2n) uniform real points in the shell inner <= |x| <= radius.
 
-    A Gaussian direction (Muller 1959) times the radius at which |x|^(2n)
-    is uniform on [inner^(2n), radius^(2n)] (Marsaglia 1972), so no draw
-    is rejected; inner = 0 gives the ball.
+    No draw is rejected; inner = 0 gives the ball.
     """
-    directions = rng.standard_normal((count, 2 * n))
+    directions, radii = _shell_draw(rng, count, n, radius, inner)
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    low = (inner / radius) ** (2 * n)
-    radii = radius * (low + (1.0 - low) * rng.random(count)) ** (0.5 / n)
     return directions * radii[:, None]
+
+
+def _shell_moments(rng, count, weights, radius, inner=0.0):
+    """Radii |x| and moments sum_j w_j |x_j|^2 / |x|^2 of a shell draw.
+
+    The same sample as _shell_samples(rng, count, len(weights), ...), seen
+    through the two numbers a circle-type Hamiltonian reads: H(x) is
+    -pi |x|^2 q + c with q the weighted moment of the direction.  q comes
+    from the Gaussian rows g as one small product (g*g) @ [1, w_rep]
+    and one divide per row, with no point ever formed.
+    """
+    weights = np.asarray(weights, dtype=float)
+    normals, radii = _shell_draw(rng, count, len(weights), radius, inner)
+    columns = np.stack([np.ones(2 * len(weights)), np.repeat(weights, 2)],
+                       axis=1)
+    sums = (normals * normals) @ columns
+    return radii, sums[:, 1] / sums[:, 0]
 
 
 def s1_invariance_check(h, samples=1000, seed=0, params=None):

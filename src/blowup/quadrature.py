@@ -7,33 +7,39 @@ The unnormalized volume-form value is n! times the Lebesgue one; callers
 comparing against conventions that count the ball volume as pi^n rho^(2n)
 must scale accordingly.
 
-Two schemes are provided.  product-gauss exploits circle invariance: a
-quadratic Hamiltonian -pi sum m_j |z_j|^2 + c has sphere average
--pi (K/n) s^2 + c at radius s with K the weight sum, so the whole
+Two schemes are provided.  Both rest on the radial-angular factorization
+of the circle-type Hamiltonians H = -pi sum m_j |z_j|^2 + c: at a point
+s*u with |u| = 1, H is -pi s^2 q + c with q = sum m_j |u_j|^2 the
+weighted moment of the direction (_sphere_values).  product-gauss
+replaces q by its sphere average K/n, K the weight sum, so the whole
 integral collapses to a one-dimensional radial Gauss-Legendre rule that
 is exact for these polynomial integrands.  monte-carlo draws uniform
-points in the region itself, a ball or an annulus, so none is rejected;
-a fixed seed and deterministic block partitioning keep results
-bit-stable, and one sampling loop serves every region, each caller
-passing its integrand.  For a square-integrable integrand its default
-count never has a larger standard error than the 200k cube draws it
-replaced (_default_samples).
+points in the region itself, a ball or an annulus, so none is rejected,
+and hands each integrand the draws' radii and moments (_shell_moments)
+rather than the points; a fixed seed and deterministic block
+partitioning keep results bit-stable, and one sampling loop serves
+every region.  For a square-integrable integrand its default count
+never has a larger standard error than the 200k cube draws it replaced
+(_default_samples).
 
 The pushforward checks integrate the same Hamiltonian twice: once on the
-annulus directly and once pulled back through the radial chart map, with
-the chart Jacobian determinant obtained by central finite differences of
-the chart rather than its closed form, so the two sides are independent.
-Both schemes take it by one rule, _radial_jacobian: the chart is
-unitary-equivariant, so DF at radius s is conjugate by a unitary to DF
-at the axis point (s, 0, ..., 0), where it is diagonal, and det DF is
-exactly radial * tangential^(2n-1) there and on the whole sphere.  No
-sample builds a 2n x 2n Jacobian or factors one.  product-gauss folds
-the volume factor in as radial * (s * tangential)^(2n-1), which is
-s^(2n-1) det DF and stays below r^(2n-1) where det DF itself overflows
-(near the origin at n = 60), and caches it per chart and order.  The
-chart map on real rows, its axis derivatives, the coordinate helpers,
-the batched Hamiltonian and the ball-and-shell sampler are the shared
-kernel of local_model.py.
+annulus directly and once pulled back through the radial chart map,
+F(x) = beta(|x|) x/|x|, which keeps directions, so H o F is
+-pi beta(s)^2 q + c.  The chart Jacobian determinant comes from central
+finite differences of the chart rather than its closed form, so the two
+sides are independent.  Both schemes take it by one rule,
+_radial_jacobian: the chart is unitary-equivariant, so DF at radius s is
+conjugate by a unitary to DF at the axis point (s, 0, ..., 0), where it
+is diagonal, and det DF is exactly radial * tangential^(2n-1) there and
+on the whole sphere.  No sample forms a point, a chart image or a
+Jacobian.  product-gauss folds the volume factor in as
+radial * (s * tangential)^(2n-1), which is s^(2n-1) det DF and stays
+below r^(2n-1) where det DF itself overflows (near the origin at
+n = 60), and caches it per chart and order.  Each deviation is relative
+to the right side, floored at 1e-12 of the integrand's size times the
+region's volume (_relative_deviation).  The profile, the axis
+derivatives and the ball-and-shell draw are the shared kernel of
+local_model.py.
 """
 
 from __future__ import annotations
@@ -45,8 +51,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .local_model import (CheckResult, LocalModelParams, _chart, _complexify,
-                          _profile_raw, _radial_jacobian, _shell_samples)
+from .local_model import (CheckResult, LocalModelParams, _profile_raw,
+                          _radial_jacobian, _shell_moments)
 
 __all__ = [
     "IntegralResult",
@@ -105,16 +111,20 @@ def _gauss_nodes(a, b, order):
     return mid + half * x, half * w
 
 
-def _radial_average(h, s):
-    """Sphere average of the Hamiltonian at radius s (array-friendly)."""
-    n = len(h.weights)
-    return -math.pi * (h.weight_sum / n) * s * s + h.constant()
+def _sphere_values(h, s, moment):
+    """H at radius s along directions of weighted moment sum_j m_j |u_j|^2.
+
+    A moment of K/n, the sphere average of every direction's moment, gives
+    the sphere average of H; s and moment may be arrays.
+    """
+    return -math.pi * moment * s * s + h.constant()
 
 
 def _gauss_shell(h, a, b, n, order):
     """Integral of H over a <= |z| <= b; a = 0 gives the ball."""
     s, w = _gauss_nodes(a, b, order)
-    integrand = _radial_average(h, s) * _sphere_area(n) * s ** (2 * n - 1)
+    integrand = (_sphere_values(h, s, h.weight_sum / n) * _sphere_area(n)
+                 * s ** (2 * n - 1))
     return float(np.sum(w * integrand))
 
 
@@ -124,15 +134,22 @@ def _gauss_result(value, coarse, order):
     return IntegralResult(value, error, "product-gauss", order)
 
 
-def _monte_carlo(integrand, n, radius, samples, seed, inner=0.0):
+def _shell_volume(n, radius, inner=0.0):
+    """Lebesgue volume of inner <= |z| <= radius in C^n."""
+    return math.pi ** n / math.factorial(n) * (radius ** (2 * n)
+                                               - inner ** (2 * n))
+
+
+def _monte_carlo(integrand, weights, radius, samples, seed, inner=0.0):
     """Block-deterministic Monte-Carlo over inner <= |x| <= radius in R^(2n).
 
-    The samples, _default_samples(n) when None, split into _MC_BLOCKS
-    blocks, each drawing exactly its own count from its own child of
-    SeedSequence(seed), so results are bit-stable.  integrand maps a
-    (block, 2n) array of shell points to their values; the mean is scaled
-    by the shell volume.
+    n is the number of weights.  The samples, _default_samples(n) when
+    None, split into _MC_BLOCKS blocks, each drawing exactly its own count
+    from its own child of SeedSequence(seed), so results are bit-stable.
+    integrand maps the block's radii and weighted direction moments
+    (_shell_moments) to its values; the mean is scaled by the shell volume.
     """
+    n = len(weights)
     samples = _default_samples(n) if samples is None else samples
     if samples < 1:
         raise ValueError("monte-carlo needs a positive sample count")
@@ -144,16 +161,31 @@ def _monte_carlo(integrand, n, radius, samples, seed, inner=0.0):
         block = base + 1 if index < extra else base
         if block == 0:
             continue
-        values = integrand(_shell_samples(np.random.default_rng(child), block,
-                                          n, radius, inner))
+        values = integrand(*_shell_moments(np.random.default_rng(child),
+                                           block, weights, radius, inner))
         total += float(np.sum(values))
         total_sq += float(np.sum(values * values))
-    volume = (math.pi ** n / math.factorial(n)
-              * (radius ** (2 * n) - inner ** (2 * n)))
+    volume = _shell_volume(n, radius, inner)
     mean = total / samples
     variance = max(total_sq / samples - mean * mean, 0.0)
     return IntegralResult(volume * mean, volume * math.sqrt(variance / samples),
                           "monte-carlo", samples)
+
+
+def _relative_deviation(value, reference, h, radius, inner=0.0):
+    """|value - reference| relative to |reference|, with a relative floor.
+
+    The floor is 1e-12 of the integrand's size on the region inner <= |z|
+    <= radius, pi*radius^2*max|m_j| + |c|, times the region's volume, so
+    it scales with the integral it guards.  An absolute floor swallows an
+    integral that is small only because its region is, as the unit ball's
+    is from n ~ 30 on.  The least positive float keeps H = 0 from dividing
+    zero by zero.
+    """
+    size = (math.pi * radius * radius * max(abs(m) for m in h.weights)
+            + abs(h.constant()))
+    floor = 1e-12 * size * _shell_volume(len(h.weights), radius, inner)
+    return abs(value - reference) / max(abs(reference), floor, math.ulp(0.0))
 
 
 def _default_samples(n):
@@ -195,8 +227,8 @@ def integrate_ball(h, radius, n, scheme="product-gauss", order=32,
                              _gauss_shell(h, 0.0, radius, n, max(order // 2, 2)),
                              order)
     if scheme == "monte-carlo":
-        return _monte_carlo(lambda x: h.values(_complexify(x)), n, radius,
-                            samples, seed)
+        return _monte_carlo(lambda s, q: _sphere_values(h, s, q), h.weights,
+                            radius, samples, seed)
     raise ValueError("scheme must be 'product-gauss' or 'monte-carlo'")
 
 
@@ -239,7 +271,8 @@ def _gauss_pullback(h, params, order):
     """
     s, w, panel, beta, pulled, skipped = _pullback_rule(
         params.n, params.rho, params.delta, params.r, order)
-    values = w * _radial_average(h, beta) * pulled * _sphere_area(params.n)
+    values = (w * _sphere_values(h, beta, h.weight_sum / params.n) * pulled
+              * _sphere_area(params.n))
     total = sum(float(np.sum(values[panel == k])) for k in range(3))
     return total, skipped
 
@@ -270,25 +303,26 @@ def verify_annulus_pushforward(h, params, scheme="product-gauss", order=32,
     elif scheme == "monte-carlo":
         skipped = 0
 
-        def pullback(coords):
+        def pullback(radii, moments):
+            # H o F = -pi beta(|x|)^2 q + c: the chart keeps directions
             nonlocal skipped
-            radii = np.linalg.norm(coords, axis=1)
             near = radii < 1e-8
             skipped += int(np.count_nonzero(near))
-            values = np.zeros(len(coords))
-            radial, tangential = _radial_jacobian(radii[~near], params)
+            values = np.zeros(len(radii))
+            s = radii[~near]
+            radial, tangential = _radial_jacobian(s, params)
             dets = radial * tangential ** (2 * params.n - 1)
-            images = _chart(coords[~near], params)
-            values[~near] = h.values(_complexify(images)) * dets
+            values[~near] = _sphere_values(h, _profile_raw(s, params),
+                                           moments[~near]) * dets
             return values
 
-        left = _monte_carlo(pullback, params.n, params.r, samples, seed)
-        right = _monte_carlo(lambda x: h.values(_complexify(x)), params.n,
+        left = _monte_carlo(pullback, h.weights, params.r, samples, seed)
+        right = _monte_carlo(lambda s, q: _sphere_values(h, s, q), h.weights,
                              params.r, samples, seed + 1, inner=params.rho)
     else:
         raise ValueError("scheme must be 'product-gauss' or 'monte-carlo'")
-    scale = max(abs(right.value), 1e-12)
-    deviation = abs(left.value - right.value) / scale
+    deviation = _relative_deviation(left.value, right.value, h, params.r,
+                                    params.rho)
     return AnnulusComparison(left, right, deviation, skipped)
 
 
@@ -307,11 +341,11 @@ def verify_normalized_lemma(h, params, order=32):
     outer = integrate_ball(h, params.r, params.n, order=order)
     inner = integrate_ball(h, params.rho, params.n, order=order)
     right = outer.value - inner.value
-    scale = max(abs(right), 1e-12)
     return CheckResult(
         check="normalized-lemma",
         samples=order,
-        max_deviation=abs(left - right) / scale,
+        max_deviation=_relative_deviation(left, right, h, params.r,
+                                          params.rho),
         tolerance=1e-4,
         skipped=skipped,
     )

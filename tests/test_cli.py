@@ -433,6 +433,23 @@ def test_verify_rejects_radius_whose_area_overflows(tmp_path, capsys, check):
     assert "pi*r^2" in captured.err
 
 
+@pytest.mark.parametrize("check", ("all",) + cli.VERIFY_GROUPS)
+def test_verify_rejects_hamiltonian_that_overflows_on_the_r_ball(
+        tmp_path, capsys, check):
+    # pi*r^2 fits in a float, pi*r^2 times the weight 10 does not: the s1
+    # row used to print three overflow warnings, read NaN and exit 1
+    payload = base_manifest()
+    payload["loops"] = [{"name": "heavy", "weights": [1, 10], "C": "1/2"}]
+    payload["local_model"] = {"rho": 5e150, "delta": 1e152, "r": 5e153}
+    path = write_manifest(tmp_path, payload)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["verify", path, "--check", check]) == 2
+    captured = capsys.readouterr()
+    assert_one_error_line(captured)
+    assert "pi*r^2*max|w| + |C|" in captured.err
+
+
 def test_width_bound_blocks_large_weight(tmp_path, capsys):
     payload = base_manifest()
     payload["manifold"]["gromov_width"] = 0.4

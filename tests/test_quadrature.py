@@ -13,8 +13,8 @@ from blowup import cli, local_model, quadrature
 from blowup.exact_field import eval_at
 from blowup.local_model import (FD_STEP, LocalHamiltonian, LocalModelParams,
                                 _chart, _complexify, _jacobian,
-                                _radial_jacobian, _shell_samples,
-                                beta_profile)
+                                _radial_jacobian, _shell_moments,
+                                _shell_samples, beta_profile)
 from blowup.quadrature import (
     MC_SEED,
     IntegralResult,
@@ -183,6 +183,39 @@ def test_annulus_pullback_at_n_60_stays_finite():
     assert skipped == 0
 
 
+@pytest.mark.parametrize("n", [30, 60])
+def test_integral_rows_report_the_true_deviation_at_large_n(n):
+    # every integral here lies far below 1e-12 at r = 1, where an absolute
+    # floor of 1e-12 made the rows read 4e-17 (n = 30) and 1e-51 (n = 60)
+    # for a true deviation of 4.6e-12
+    params = LocalModelParams(n=n, rho=0.4, delta=0.2, r=1.0)
+    h = LocalHamiltonian(weights=(1,) * n)
+    manifold = ManifoldSpec(n=n, V=Fraction(1), a=Fraction(1))
+    loop = CircleLoopSpec(weights=(1,) * n, C=Fraction(0), name="ones")
+    manifest = cli.Manifest(manifold=manifold, loops=[loop],
+                            local_model={"rho": 0.4, "delta": 0.2, "r": 1.0},
+                            seed=0)
+    rows = {row.check: row.max_deviation
+            for row in cli._verify_rows(manifest, params, "integrals")}
+    annulus = verify_annulus_pushforward(h, params)
+    lemma_right = (integrate_ball(h, 1.0, n).value
+                   - integrate_ball(h, 0.4, n).value)
+    expected = eval_at(ball_integral_closed_form(loop, manifold),
+                       math.pi * 0.4 ** 2)
+    true = {
+        "annulus-pushforward:ones": (abs(annulus.left.value
+                                         - annulus.right.value)
+                                     / abs(annulus.right.value)),
+        "normalized-lemma:ones": (abs(annulus.left.value - lemma_right)
+                                  / abs(lemma_right)),
+        "ball-closed-form:ones": (abs(integrate_ball(h, 0.4, n).value
+                                      - expected) / abs(expected)),
+    }
+    assert true["annulus-pushforward:ones"] > 1e-12
+    for check, deviation in true.items():
+        assert abs(rows[check] - deviation) <= 0.01 * deviation
+
+
 def test_annulus_monte_carlo_scheme():
     params = LocalModelParams(n=2, rho=0.3, delta=0.2, r=1.0)
     h = LocalHamiltonian(weights=(0, 0), c=1.0)
@@ -271,8 +304,9 @@ def test_verify_integrals_build_one_jacobian_per_order(monkeypatch):
     h = LocalHamiltonian(weights=(1, 2), c=0.5)
     verify_annulus_pushforward(h, params, "monte-carlo", samples=160)
     assert calls == [10] * 16
-    # no pullback differentiates the chart off the axis rows (s, 0)
-    assert widths == [2] * 18
+    # the axis rule is written out in one dimension: no pullback takes
+    # _jacobian of the chart at all
+    assert widths == []
 
 
 @pytest.mark.parametrize("n, seed", [(2, 0), (2, 12), (2, 39), (3, 0),
@@ -289,21 +323,24 @@ def test_monte_carlo_pullback_matches_closed_form_determinant(n, seed):
     left = verify_annulus_pushforward(h, params, "monte-carlo",
                                       seed=seed).left
 
-    def closed_form_pullback(coords):
-        radii = np.linalg.norm(coords, axis=1)
+    def closed_form_pullback(radii, moments):
+        # H o F = -pi beta^2 q + c on the same radii and direction moments
         value, slope = beta_profile(radii, params)
         dets = slope * (value / radii) ** (2 * n - 1)
-        return h.values(_complexify(_chart(coords, params))) * dets
+        return (-math.pi * value * value * moments + h.constant()) * dets
 
-    exact = quadrature._monte_carlo(closed_form_pullback, n, params.r, None,
-                                    seed)
+    exact = quadrature._monte_carlo(closed_form_pullback, h.weights,
+                                    params.r, None, seed)
     assert abs(left.value - exact.value) <= 1e-6 * exact.error_estimate
 
 
 # ------------------------------------------- Monte-Carlo reference copies
 # The cube-and-reject block loops that the ball-and-shell sampler replaced,
 # kept as the oracle for its standard error at 200k cube draws, and the
-# shell-sampled estimator that _monte_carlo must match bit for bit.
+# shell-sampled estimator on points that _monte_carlo must match.  The
+# program reads each draw as a radius and a weighted direction moment and
+# never forms the point, so it rounds differently: the tests allow 1e-9
+# of a standard error in the value and in the standard error itself.
 
 def _reference_blocks(samples):
     base, extra = divmod(samples, 16)
@@ -398,6 +435,12 @@ def _reference_mc_shell(values_of, n, radius, inner, samples, seed):
     return volume * mean, volume * math.sqrt(variance / samples)
 
 
+def assert_matches_reference(got, expected):
+    value, stderr = expected
+    assert abs(got.value - value) <= 1e-9 * stderr
+    assert abs(got.error_estimate - stderr) <= 1e-9 * stderr
+
+
 # 37 samples leave blocks of two and three draws
 MC_CASES = [(n, seed, samples) for n in (1, 2, 3, 4)
             for seed in (0, MC_SEED) for samples in (37, 5_000)]
@@ -409,7 +452,7 @@ def test_monte_carlo_ball_matches_reference(n, seed, samples):
     expected = _reference_mc_shell(lambda x: h.values(_complexify(x)), n,
                                    0.6, 0.0, samples, seed)
     got = integrate_ball(h, 0.6, n, "monte-carlo", samples=samples, seed=seed)
-    assert (got.value, got.error_estimate) == expected
+    assert_matches_reference(got, expected)
     assert got.samples_or_order == samples
 
 
@@ -435,10 +478,10 @@ def test_monte_carlo_pushforward_matches_reference(n, seed, samples):
                              * _reference_axis_det(x, params))
     got = verify_annulus_pushforward(h, params, "monte-carlo",
                                      samples=samples, seed=seed)
-    assert (got.left.value, got.left.error_estimate) == _reference_mc_shell(
-        pulled_back, n, 1.0, 0.0, samples, seed)
-    assert (got.right.value, got.right.error_estimate) == _reference_mc_shell(
-        lambda x: h.values(_complexify(x)), n, 1.0, 0.3, samples, seed + 1)
+    assert_matches_reference(got.left, _reference_mc_shell(
+        pulled_back, n, 1.0, 0.0, samples, seed))
+    assert_matches_reference(got.right, _reference_mc_shell(
+        lambda x: h.values(_complexify(x)), n, 1.0, 0.3, samples, seed + 1))
     assert got.left.samples_or_order == got.right.samples_or_order == samples
     assert got.skipped == 0
 
@@ -468,6 +511,27 @@ def test_shell_samples_radial_median(n, inner):
     points = _shell_samples(np.random.default_rng(n), 20_000, n, radius, inner)
     share = np.mean(np.linalg.norm(points, axis=1) <= median)
     assert abs(share - 0.5) <= 0.01
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("inner", [0.0, 0.3])
+def test_shell_moments_view_the_shell_samples(n, inner):
+    # twin generators: the moment draw takes the same sample as the point
+    # draw, leaves the generator in the same state, and reads each point
+    # as its radius and its weighted direction moment
+    weights = (3, -1, 2, 5)[:n]
+    points_rng, moments_rng = (np.random.default_rng(11),
+                               np.random.default_rng(11))
+    points = _shell_samples(points_rng, 2_000, n, 0.8, inner)
+    radii, moments = _shell_moments(moments_rng, 2_000, weights, 0.8, inner)
+    assert points_rng.bit_generator.state == moments_rng.bit_generator.state
+    norms = np.linalg.norm(points, axis=1)
+    assert np.all(np.abs(radii - norms) <= 1e-14 * norms)
+    # relative to the moment of |w|, which the signed one can cancel below
+    squares = (points * points)[:, 0::2] + (points * points)[:, 1::2]
+    expected = squares @ np.array(weights, dtype=float) / (norms * norms)
+    size = squares @ np.abs(np.array(weights, dtype=float)) / (norms * norms)
+    assert np.all(np.abs(moments - expected) <= 1e-14 * size)
 
 
 def test_default_sample_count():
