@@ -24,6 +24,7 @@ finishes with a single-line JSON array of rows
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -161,9 +162,12 @@ def load_manifest(path):
     except ValueError as exc:
         raise ManifestError(str(exc)) from None
 
+    entries = raw.get("loops", [])
+    if not isinstance(entries, list):
+        raise ManifestError("loops must be a list")
     loops = []
     seen = set()
-    for index, entry in enumerate(raw.get("loops", [])):
+    for index, entry in enumerate(entries):
         where = "loops[%d]" % index
         _require_keys(entry, ("name", "weights", "C"), (), where)
         name = entry["name"]
@@ -190,10 +194,13 @@ def load_manifest(path):
         local_model = {key: _as_number(raw["local_model"][key],
                                        "local_model.%s" % key)
                        for key in ("rho", "delta", "r")}
-        if width is not None and math.pi * local_model["rho"] ** 2 >= width:
+        # rho * rho, not rho ** 2: a float ** raises OverflowError where *
+        # rounds to inf, and inf reaches every bound
+        area = math.pi * (local_model["rho"] * local_model["rho"])
+        if width is not None and area >= width:
             raise ManifestError(
                 "blow-up weight pi*rho^2 = %.6g reaches the Gromov width "
-                "bound %.6g" % (math.pi * local_model["rho"] ** 2, width))
+                "bound %.6g" % (area, width))
 
     seed = 0
     if "seed" in raw:
@@ -420,7 +427,14 @@ def cmd_eval(manifest, loop_name, rho, out=None):
     return 0
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on the first call and shared after it.
+
+    Sharing is safe: nothing in it depends on argv or the environment,
+    parse_args returns a fresh Namespace, and usage errors go to the
+    sys.stderr of the moment.
+    """
     parser = argparse.ArgumentParser(
         prog="blowup",
         description="Exact loop invariants on symplectic one-point blow-ups, "

@@ -1,5 +1,6 @@
 """End-to-end tests of the manifest-driven command line."""
 
+import argparse
 import json
 import math
 import warnings
@@ -465,7 +466,78 @@ def test_width_bound_admits_small_weight(tmp_path, capsys):
     assert cli.main(["lift", path, "--loop", "main"]) == 0
 
 
+COMMANDS = {
+    "lift": ["--loop", "main"],
+    "order": ["--loop", "main"],
+    "rank": [],
+    "verify": [],
+    "eval": ["--loop", "main"],
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_width_bound_at_overflowing_rho_exits_2(tmp_path, capsys, command):
+    # rho ** 2 raised OverflowError here; pi*rho^2 = inf reaches the bound
+    payload = base_manifest()
+    payload["manifold"]["gromov_width"] = 3.2
+    payload["local_model"]["rho"] = 1e200
+    path = write_manifest(tmp_path, payload)
+    assert cli.main([command, path] + COMMANDS[command]) == 2
+    captured = capsys.readouterr()
+    assert_one_error_line(captured)
+    assert "reaches the Gromov width bound" in captured.err
+
+
+@pytest.mark.parametrize("loops", [5, None, True, 1.5, "ab"])
+def test_loops_that_are_not_a_list_exit_2(tmp_path, capsys, loops):
+    # numbers and null died with a TypeError, a string was walked by character
+    payload = base_manifest()
+    payload["loops"] = loops
+    path = write_manifest(tmp_path, payload)
+    assert cli.main(["rank", path]) == 2
+    captured = capsys.readouterr()
+    assert_one_error_line(captured)
+    assert "loops must be a list" in captured.err
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["lift"])
     assert excinfo.value.code == 2
+
+
+def test_usage_errors_leave_the_shared_parser_intact(tmp_path, capsys):
+    path = write_manifest(tmp_path, base_manifest())
+    lift = ["lift", path, "--loop", "main"]
+    assert cli.main(lift) == 0
+    first = capsys.readouterr().out
+    for argv in (["lift", path],
+                 ["lifts", path],
+                 ["verify", path, "--check", "nope"],
+                 ["eval", path, "--loop", "main", "--rho", "abc"]):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: blowup" in err
+        assert "error:" in err
+    assert cli.main(lift) == 0
+    assert capsys.readouterr().out == first
+
+
+def test_main_builds_the_parser_once(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    path = write_manifest(tmp_path, base_manifest())
+    cli._build_parser.cache_clear()
+    assert cli.main(["rank", path]) == 0
+    assert len(built) == 1 + len(COMMANDS)  # the parser and its subparsers
+    built.clear()
+    assert cli.main(["lift", path, "--loop", "main"]) == 0
+    assert built == []
