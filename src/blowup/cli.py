@@ -126,6 +126,17 @@ def _as_rational(value, where):
         raise ManifestError("%s: %s" % (where, exc)) from None
 
 
+def _require_below_width(rho, width):
+    """Refuse a blow-up weight whose area pi*rho^2 reaches a width bound."""
+    # rho * rho, not rho ** 2: a float ** raises OverflowError where *
+    # rounds to inf, and inf reaches every bound
+    area = math.pi * (rho * rho)
+    if width is not None and area >= width:
+        raise ManifestError(
+            "blow-up weight pi*rho^2 = %.6g reaches the Gromov width "
+            "bound %.6g" % (area, width))
+
+
 def load_manifest(path):
     """Parse and validate a manifest file; raises ManifestError."""
     try:
@@ -194,13 +205,7 @@ def load_manifest(path):
         local_model = {key: _as_number(raw["local_model"][key],
                                        "local_model.%s" % key)
                        for key in ("rho", "delta", "r")}
-        # rho * rho, not rho ** 2: a float ** raises OverflowError where *
-        # rounds to inf, and inf reaches every bound
-        area = math.pi * (local_model["rho"] * local_model["rho"])
-        if width is not None and area >= width:
-            raise ManifestError(
-                "blow-up weight pi*rho^2 = %.6g reaches the Gromov width "
-                "bound %.6g" % (area, width))
+        _require_below_width(local_model["rho"], width)
 
     seed = 0
     if "seed" in raw:
@@ -419,6 +424,7 @@ def cmd_eval(manifest, loop_name, rho, out=None):
             "no weight given: pass --rho or add local_model to the manifest")
     if not 0 < rho < math.inf:
         raise ManifestError("weight must be positive and finite")
+    _require_below_width(rho, manifest.manifold.gromov_width_bound)
     tau0, base, lifted = _evaluate(lift_value_circle(loop, manifest.manifold),
                                    rho)
     print("rho = %g, t = %.12g" % (rho, tau0), file=out)

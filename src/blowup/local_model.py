@@ -35,11 +35,12 @@ helpers _realify/_complexify, the profile _profile_raw, the chart map
 _chart, which scales real (N, 2n) rows by beta(|x|)/|x| with no complex
 round trip, the central-difference Jacobian _jacobian of a batched real
 map, the axis derivatives _radial_jacobian of the chart,
-LocalHamiltonian.values, and one uniform ball-or-shell draw,
-_shell_draw, seen two ways: as points (_shell_samples, for the seeded
-checks) and as radii with weighted direction moments (_shell_moments,
-for every Monte-Carlo integral).  quadrature.py imports the profile,
-the axis derivatives and the moment draw.
+LocalHamiltonian.values, and two uniform ball-or-shell draws that share
+one radius law, _shell_radii: points (_shell_samples, for the seeded
+checks, from Gaussian directions) and radii with weighted direction
+moments (_shell_moments, for every Monte-Carlo integral, from the
+Dirichlet law of a uniform direction's squared moduli).  quadrature.py
+imports the profile, the axis derivatives and the moment draw.
 _jacobian calls its map twice, on all "+step" and then all "-step"
 copies of the rows, and returns a C-contiguous array, since the @
 products of the checks round differently on a transposed view.
@@ -442,27 +443,25 @@ class UnitaryLoop:
                 / (2 * dt))[..., 0]
 
 
-def _shell_draw(rng, count, n, radius, inner=0.0):
-    """Gaussian rows (count, 2n) and radii (count,) of a uniform shell draw.
+def _shell_radii(rng, count, n, radius, inner=0.0):
+    """(count,) radii of uniform points in the shell inner <= |x| <= radius.
 
     The radius is the one at which |x|^(2n) is uniform on
-    [inner^(2n), radius^(2n)] (Marsaglia 1972); a normalized Gaussian row
-    is a uniform direction (Muller 1959).  The normals are drawn first and
-    the uniforms second, so _shell_samples and _shell_moments, the two
-    views of one draw, take the same sample from one generator state.
+    [inner^(2n), radius^(2n)] (Marsaglia 1972), from one uniform per draw.
     """
-    normals = rng.standard_normal((count, 2 * n))
     low = (inner / radius) ** (2 * n)
-    radii = radius * (low + (1.0 - low) * rng.random(count)) ** (0.5 / n)
-    return normals, radii
+    return radius * (low + (1.0 - low) * rng.random(count)) ** (0.5 / n)
 
 
 def _shell_samples(rng, count, n, radius, inner=0.0):
     """(count, 2n) uniform real points in the shell inner <= |x| <= radius.
 
-    No draw is rejected; inner = 0 gives the ball.
+    No draw is rejected; inner = 0 gives the ball.  A normalized Gaussian
+    row is a uniform direction (Muller 1959); the normals are drawn before
+    the radii.
     """
-    directions, radii = _shell_draw(rng, count, n, radius, inner)
+    directions = rng.standard_normal((count, 2 * n))
+    radii = _shell_radii(rng, count, n, radius, inner)
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     return directions * radii[:, None]
 
@@ -470,17 +469,19 @@ def _shell_samples(rng, count, n, radius, inner=0.0):
 def _shell_moments(rng, count, weights, radius, inner=0.0):
     """Radii |x| and moments sum_j w_j |x_j|^2 / |x|^2 of a shell draw.
 
-    The same sample as _shell_samples(rng, count, len(weights), ...), seen
-    through the two numbers a circle-type Hamiltonian reads: H(x) is
-    -pi |x|^2 q + c with q the weighted moment of the direction.  q comes
-    from the Gaussian rows g as one small product (g*g) @ [1, w_rep]
-    and one divide per row, with no point ever formed.
+    The two numbers a circle-type Hamiltonian reads of a uniform point of
+    the shell: H(x) is -pi |x|^2 q + c with q the weighted moment of the
+    direction u.  For u uniform on the sphere of C^n the squared moduli
+    (|u_1|^2, ..., |u_n|^2) are Dirichlet(1, ..., 1), the law of E_j / sum E
+    for independent standard exponentials E_j, and independent of the
+    radius (Devroye 1986, ch. XI).  So n exponentials per draw, taken
+    before the radii, give q as one small product E @ [1, w] and one
+    divide per row, with no direction ever formed.
     """
     weights = np.asarray(weights, dtype=float)
-    normals, radii = _shell_draw(rng, count, len(weights), radius, inner)
-    columns = np.stack([np.ones(2 * len(weights)), np.repeat(weights, 2)],
-                       axis=1)
-    sums = (normals * normals) @ columns
+    draws = rng.standard_exponential((count, len(weights)))
+    radii = _shell_radii(rng, count, len(weights), radius, inner)
+    sums = draws @ np.stack([np.ones(len(weights)), weights], axis=1)
     return radii, sums[:, 1] / sums[:, 0]
 
 

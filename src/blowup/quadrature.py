@@ -13,14 +13,15 @@ s*u with |u| = 1, H is -pi s^2 q + c with q = sum m_j |u_j|^2 the
 weighted moment of the direction (_sphere_values).  product-gauss
 replaces q by its sphere average K/n, K the weight sum, so the whole
 integral collapses to a one-dimensional radial Gauss-Legendre rule that
-is exact for these polynomial integrands.  monte-carlo draws uniform
-points in the region itself, a ball or an annulus, so none is rejected,
-and hands each integrand the draws' radii and moments (_shell_moments)
-rather than the points; a fixed seed and deterministic block
-partitioning keep results bit-stable, and one sampling loop serves
-every region.  For a square-integrable integrand its default count
-never has a larger standard error than the 200k cube draws it replaced
-(_default_samples).
+is exact for these polynomial integrands.  monte-carlo samples the
+region itself, a ball or an annulus, so no draw is rejected, and hands
+each integrand the radii and moments of uniform points without forming
+them (_shell_moments): n exponentials give the squared moduli of a
+uniform direction, one uniform its radius.  A fixed seed and
+deterministic block partitioning keep results bit-stable, and one
+sampling loop serves every region.  For a square-integrable integrand
+its default count never has a larger standard error than the 200k cube
+draws it replaced (_default_samples).
 
 The pushforward checks integrate the same Hamiltonian twice: once on the
 annulus directly and once pulled back through the radial chart map,
@@ -38,7 +39,7 @@ below r^(2n-1) where det DF itself overflows (near the origin at
 n = 60), and caches it per chart and order.  Each deviation is relative
 to the right side, floored at 1e-12 of the integrand's size times the
 region's volume (_relative_deviation).  The profile, the axis
-derivatives and the ball-and-shell draw are the shared kernel of
+derivatives and the moment draw are the shared kernel of
 local_model.py.
 """
 

@@ -488,6 +488,20 @@ def test_width_bound_at_overflowing_rho_exits_2(tmp_path, capsys, command):
     assert "reaches the Gromov width bound" in captured.err
 
 
+@pytest.mark.parametrize("local_model", [True, False])
+def test_eval_rho_option_obeys_the_width_bound(tmp_path, capsys, local_model):
+    # --rho took pi*rho^2 = 314.16 past the bound 3.2 and printed values
+    payload = base_manifest()
+    payload["manifold"]["gromov_width"] = 3.2
+    if not local_model:
+        del payload["local_model"]
+    path = write_manifest(tmp_path, payload)
+    assert cli.main(["eval", path, "--loop", "main", "--rho", "10"]) == 2
+    captured = capsys.readouterr()
+    assert_one_error_line(captured)
+    assert "reaches the Gromov width bound" in captured.err
+
+
 @pytest.mark.parametrize("loops", [5, None, True, 1.5, "ab"])
 def test_loops_that_are_not_a_list_exit_2(tmp_path, capsys, loops):
     # numbers and null died with a TypeError, a string was walked by character

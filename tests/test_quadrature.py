@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -309,15 +310,16 @@ def test_verify_integrals_build_one_jacobian_per_order(monkeypatch):
     assert widths == []
 
 
-@pytest.mark.parametrize("n, seed", [(2, 0), (2, 12), (2, 39), (3, 0),
-                                     (4, 0)])
+@pytest.mark.parametrize("n, seed", [(2, 0), (2, 12), (2, 39), (2, 61),
+                                     (2, 2), (3, 0), (4, 0)])
 def test_monte_carlo_pullback_matches_closed_form_determinant(n, seed):
     # the same draws weighted by det DF = beta' (beta/s)^(2n-1) in closed
     # form: the axis rule's finite-difference error moves the left value
-    # by far less than its standard error.  Seeds 12 and 39 draw points
-    # near the origin, where det DF is large; a finite-difference det at
-    # each sample's own direction moves their left value by 1.2e-5 and
-    # 3.4e-5 standard errors.
+    # by far less than its standard error.  Of the seeds 0-99, 61 and 2
+    # give the default-count n = 2 pullback draws with the smallest least
+    # radius, 0.0192 and 0.0272, near the origin where det DF is large;
+    # their left values move by 2.2e-7 and 1.3e-7 standard errors, the
+    # most of these cases.
     params = LocalModelParams(n=n, rho=0.4, delta=0.2, r=1.0)
     h = LocalHamiltonian(weights=tuple(range(1, n + 1)), c=0.3)
     left = verify_annulus_pushforward(h, params, "monte-carlo",
@@ -423,11 +425,16 @@ def _reference_mc_shell(values_of, n, radius, inner, samples, seed):
         if block == 0:
             continue
         rng = np.random.default_rng(child)
-        normals = rng.standard_normal((block, dim))
-        directions = normals / np.linalg.norm(normals, axis=1)[:, None]
+        # squared direction moduli E_j / sum E are those of a uniform
+        # direction; H is circle-invariant, so the point may sit on the real
+        # axis of each complex coordinate
+        draws = rng.standard_exponential((block, n))
         low = (inner / radius) ** dim
         radii = radius * (low + (1.0 - low) * rng.random(block)) ** (1 / dim)
-        values = values_of(directions * radii[:, None])
+        points = np.zeros((block, dim))
+        points[:, 0::2] = radii[:, None] * np.sqrt(
+            draws / draws.sum(axis=1, keepdims=True))
+        values = values_of(points)
         total += float(np.sum(values))
         total_sq += float(np.sum(values * values))
     mean = total / samples
@@ -513,25 +520,54 @@ def test_shell_samples_radial_median(n, inner):
     assert abs(share - 0.5) <= 0.01
 
 
+def _dirichlet_moment_power(weights, power):
+    """E (q - K/n)^power for q = sum_j w_j D_j, D ~ Dirichlet(1, ..., 1).
+
+    As sum_j D_j = 1, q - K/n = sum_j v_j D_j with v_j = w_j - K/n, and the
+    Dirichlet moments E prod D_j^a_j = (n-1)! prod a_j! / (n-1+|a|)! cancel
+    the multinomial coefficients: the value is |a|! (n-1)! / (n-1+|a|)!
+    times the complete homogeneous symmetric polynomial of degree |a| in v.
+    """
+    n = len(weights)
+    mean = Fraction(sum(weights), n)
+    v = [w - mean for w in weights]
+    total = sum(math.prod(v[j] for j in combo) for combo in
+                itertools.combinations_with_replacement(range(n), power))
+    return Fraction(math.factorial(power) * math.factorial(n - 1),
+                    math.factorial(n - 1 + power)) * total
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("inner", [0.0, 0.3])
-def test_shell_moments_view_the_shell_samples(n, inner):
-    # twin generators: the moment draw takes the same sample as the point
-    # draw, leaves the generator in the same state, and reads each point
-    # as its radius and its weighted direction moment
-    weights = (3, -1, 2, 5)[:n]
-    points_rng, moments_rng = (np.random.default_rng(11),
-                               np.random.default_rng(11))
-    points = _shell_samples(points_rng, 2_000, n, 0.8, inner)
-    radii, moments = _shell_moments(moments_rng, 2_000, weights, 0.8, inner)
-    assert points_rng.bit_generator.state == moments_rng.bit_generator.state
-    norms = np.linalg.norm(points, axis=1)
-    assert np.all(np.abs(radii - norms) <= 1e-14 * norms)
-    # relative to the moment of |w|, which the signed one can cancel below
-    squares = (points * points)[:, 0::2] + (points * points)[:, 1::2]
-    expected = squares @ np.array(weights, dtype=float) / (norms * norms)
-    size = squares @ np.abs(np.array(weights, dtype=float)) / (norms * norms)
-    assert np.all(np.abs(moments - expected) <= 1e-14 * size)
+def test_shell_moments_follow_the_uniform_direction_law(n, inner):
+    # q = sum_j w_j |u_j|^2 for u uniform on the unit sphere of C^n
+    weights, radius, count = (3, -1, 2, 5)[:n], 0.8, 20_000
+    radii, moments = _shell_moments(np.random.default_rng(n), count, weights,
+                                    radius, inner)
+    again = _shell_moments(np.random.default_rng(n), count, weights, radius,
+                           inner)
+    assert radii.tobytes() == again[0].tobytes()
+    assert moments.tobytes() == again[1].tobytes()
+    assert radii.shape == moments.shape == (count,)
+    # the radius law of test_shell_samples_radial_median
+    d = 2 * n
+    assert np.all((inner <= radii) & (radii <= radius))
+    median = (inner ** d + (radius ** d - inner ** d) / 2) ** (1 / d)
+    assert abs(np.mean(radii <= median) - 0.5) <= 0.01
+    # mean K/n and variance (n sum w^2 - K^2) / (n^2 (n+1)); at n = 1 q is
+    # the constant w_1, so a roundoff floor of 1e-12 |w| stands in for 0
+    K = sum(weights)
+    variance = Fraction(n * sum(w * w for w in weights) - K * K,
+                        n * n * (n + 1))
+    assert variance == _dirichlet_moment_power(weights, 2)
+    fourth = _dirichlet_moment_power(weights, 4)
+    floor = 1e-12 * max(abs(w) for w in weights)
+    stderr = math.sqrt(variance / count)
+    assert abs(np.mean(moments) - K / n) <= 4 * stderr + floor
+    # the sample variance of count draws has standard deviation
+    # sqrt((mu_4 - sigma^4) / count) to first order in 1/count
+    spread = math.sqrt((fourth - variance * variance) / count)
+    assert abs(np.var(moments, ddof=1) - variance) <= 4 * spread + floor ** 2
 
 
 def test_default_sample_count():
