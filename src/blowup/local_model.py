@@ -31,25 +31,21 @@ tolerance, and a skipped-sample count; finite differences are central
 with step 1e-5.
 
 The batched chart kernel of the package lives here: the coordinate
-helpers _realify/_complexify, the profile _profile_raw, the chart map
-_chart, which scales real (N, 2n) rows by beta(|x|)/|x| with no complex
-round trip, the central-difference Jacobian _jacobian of a batched real
-map, the axis derivatives _radial_jacobian of the chart,
-LocalHamiltonian.values, and two uniform ball-or-shell draws that share
-one radius law, _shell_radii: points (_shell_samples, for the seeded
-checks, from Gaussian directions) and radii with weighted direction
-moments (_shell_moments, for every Monte-Carlo integral, from the
-Dirichlet law of a uniform direction's squared moduli).  quadrature.py
-imports the profile, the axis derivatives and the moment draw.
-_jacobian calls its map twice, on all "+step" and then all "-step"
-copies of the rows, and returns a C-contiguous array, since the @
-products of the checks round differently on a transposed view.
-_radial_jacobian is _jacobian of the chart at the axis point (s, 0, ...,
-0) of each radius written out in one dimension: one profile call on the
-radii |s + h|, |s - h| and sqrt(s^2 + h^2) of the bumped rows gives the
-radial and tangential entries of the diagonal DF there, bit for bit
-those of the full Jacobian; both chart pullbacks of quadrature.py take
-det DF from them.
+helpers _realify/_complexify, the profile _profile_raw and its slope
+_profile_slope, the chart map _chart, which scales real (N, 2n) rows by
+beta(|x|)/|x| with no complex round trip, the central-difference
+Jacobian _jacobian of a batched real map, LocalHamiltonian.values, and
+two uniform ball-or-shell draws that share one radius law, _shell_radii:
+points (_shell_samples, for the seeded checks, from Gaussian directions)
+and radii with weighted direction moments (_shell_moments, for every
+Monte-Carlo integral, from the Dirichlet law of a uniform direction's
+squared moduli).  quadrature.py imports the profile, its slope and the
+moment draw: the chart's determinant is det DF = beta'(s) (beta(s)/s)^(2n-1)
+in closed form, so no pullback differences the chart.  _jacobian calls
+its map twice, on all "+step" and then all "-step" copies of the rows,
+and returns a C-contiguous array, since the @ products of the checks
+round differently on a transposed view; it serves the chart checks,
+where the map is arbitrary and a finite difference is the witness.
 Checks run the kernel over all their seeded samples at once; per-point
 callables (a bare Hamiltonian, map_fn, matrix_fn) go through the row
 loop _rows.  symplectic_pullback_check takes its map as an (n, n)
@@ -165,13 +161,22 @@ def _profile_raw(arr, params):
     Where chi vanishes the value is the radius itself (not sqrt(s^2), which
     can be off by an ulp); at radius 0 it is exactly rho.  The formula
     extends past r by the identity, which the clipped step gives for free;
-    callers that need the [0, r] domain guard, or the slope, go through
-    beta_profile.
+    callers that need the [0, r] domain guard go through beta_profile.
     """
     chi = 1.0 - _smoothstep(_band(arr, params))
     value = np.sqrt(params.rho * params.rho * chi + arr * arr)
     value = np.where(chi == 0.0, arr, value)
     return np.where(arr == 0.0, params.rho, value)
+
+
+def _profile_slope(arr, beta, params):
+    """Profile slope beta'(s) from beta = _profile_raw(s), no domain check.
+
+    beta' = (rho^2 chi' + 2s) / (2 beta), the derivative of beta^2 =
+    rho^2 chi + s^2 over 2 beta; taking beta in saves a profile call.
+    """
+    chi_prime = -_smoothstep_prime(_band(arr, params)) / params.width
+    return (params.rho * params.rho * chi_prime + 2.0 * arr) / (2.0 * beta)
 
 
 def beta_profile(s, params):
@@ -185,8 +190,7 @@ def beta_profile(s, params):
     if np.any(arr < 0) or np.any(arr > params.r):
         raise ValueError("radius outside [0, r]")
     value = _profile_raw(arr, params)
-    chi_prime = -_smoothstep_prime(_band(arr, params)) / params.width
-    deriv = (params.rho * params.rho * chi_prime + 2.0 * arr) / (2.0 * value)
+    deriv = _profile_slope(arr, value, params)
     if np.ndim(s) == 0:
         return float(value), float(deriv)
     return value, deriv
@@ -240,32 +244,6 @@ def _jacobian(real_map, coords, step=FD_STEP):
     jac -= bumped(np.subtract)
     jac /= 2 * step
     return jac
-
-
-def _radial_jacobian(s, params):
-    """(radial, tangential) central-difference chart derivatives at radii s.
-
-    The chart is unitary-equivariant, F(Ux) = U F(x), so DF at any point of
-    radius s is U DF U^-1 at the axis point (s, 0, ..., 0), where it is
-    diagonal: one radial entry and 2n - 1 equal tangential ones, and
-    det DF = radial * tangential^(2n - 1).  Both are the diagonal of
-    _jacobian of the chart at the axis rows, written out in one dimension:
-    the bumped rows (s +- h, 0) have radii |s +- h| and (s, +-h) the radius
-    t = sqrt(s^2 + h^2), so one profile call on the 3N radii gives
-
-        radial     = ((s + h) beta/|s + h| - (s - h) beta/|s - h|) / (2h)
-        tangential = (h beta(t)/t) / h,
-
-    the second being (h q - (-h q)) / (2h) with its exact factors of 2
-    cancelled.  Each rounds as the matching diagonal entry of the full
-    Jacobian at the axis point, bit for bit.
-    """
-    h = FD_STEP
-    plus, minus = s + h, s - h
-    radii = np.concatenate([plus, np.abs(minus), np.sqrt(s * s + h * h)])
-    scale = (_profile_raw(radii, params) / radii).reshape(3, -1)
-    radial = (plus * scale[0] - minus * scale[1]) / (2 * h)
-    return radial, (h * scale[2]) / h
 
 
 def _rows(fn):
@@ -529,7 +507,7 @@ def symplectic_pullback_check(map_fn, params, reference_form="blowup",
 
     "standard" runs only the Jacobian condition at the sample points
     themselves.  grid is a sample count or an explicit (k, n) complex
-    array.  Points with |z| < 1e-8 are skipped and counted; the named
+    array.  Points with |z| < 1e-8 r are skipped and counted; the named
     sub-deviations land in extras.
     """
     if reference_form not in ("blowup", "standard"):
@@ -548,7 +526,7 @@ def symplectic_pullback_check(map_fn, params, reference_form="blowup",
         points = _complexify(_shell_samples(rng, int(grid), n, params.r))
     else:
         points = np.asarray(grid, dtype=complex)
-    near = np.linalg.norm(points, axis=-1) < 1e-8
+    near = np.linalg.norm(points, axis=-1) < 1e-8 * params.r
     points = points[~near]
     extras = {"symplectic": 0.0}
     if reference_form == "blowup":

@@ -26,21 +26,25 @@ draws it replaced (_default_samples).
 The pushforward checks integrate the same Hamiltonian twice: once on the
 annulus directly and once pulled back through the radial chart map,
 F(x) = beta(|x|) x/|x|, which keeps directions, so H o F is
--pi beta(s)^2 q + c.  The chart Jacobian determinant comes from central
-finite differences of the chart rather than its closed form, so the two
-sides are independent.  Both schemes take it by one rule,
-_radial_jacobian: the chart is unitary-equivariant, so DF at radius s is
-conjugate by a unitary to DF at the axis point (s, 0, ..., 0), where it
-is diagonal, and det DF is exactly radial * tangential^(2n-1) there and
-on the whole sphere.  No sample forms a point, a chart image or a
-Jacobian.  product-gauss folds the volume factor in as
-radial * (s * tangential)^(2n-1), which is s^(2n-1) det DF and stays
-below r^(2n-1) where det DF itself overflows (near the origin at
-n = 60), and caches it per chart and order.  Each deviation is relative
-to the right side, floored at 1e-12 of the integrand's size times the
-region's volume (_relative_deviation).  The profile, the axis
-derivatives and the moment draw are the shared kernel of
-local_model.py.
+-pi beta(s)^2 q + c.  The chart is unitary-equivariant, so DF at radius s
+is conjugate by a unitary to DF at the axis point (s, 0, ..., 0), where it
+is diagonal with one radial entry beta'(s) and 2n - 1 tangential ones
+beta(s)/s; det DF = beta'(s) (beta(s)/s)^(2n-1) on the whole sphere, in
+closed form from the profile and its slope (_profile_raw,
+_profile_slope), with no finite difference.  The two sides stay
+independent because the right side never touches the chart: it
+integrates H over rho < |z| <= r by itself.  So the identity holds only
+if beta' really is the derivative of beta and beta runs from rho to r,
+which a finite-difference slope could never show, being near the true
+derivative of whatever beta it is given.  No sample forms a point, a
+chart image or a Jacobian.  product-gauss folds the volume factor in as
+beta' beta^(2n-1), which is s^(2n-1) det DF and stays below r^(2n-1)
+where det DF itself overflows (near the origin at n = 60), and caches it
+per chart and order.  Radii below 1e-8 r are skipped and counted, a
+threshold that scales with the model.  Each deviation is relative to the
+right side, floored at 1e-12 of the integrand's size times the region's
+volume (_relative_deviation).  The profile, its slope and the moment
+draw are the shared kernel of local_model.py.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .local_model import (CheckResult, LocalModelParams, _profile_raw,
-                          _radial_jacobian, _shell_moments)
+                          _profile_slope, _shell_moments)
 
 __all__ = [
     "IntegralResult",
@@ -238,23 +242,21 @@ def _pullback_rule(n, rho, delta, r, order):
     """Nodes, weights, panel indices, beta(s), pullback weights and skipped.
 
     The part of _gauss_pullback that no Hamiltonian enters, cached
-    read-only, so every check on one chart takes one set of chart
-    derivatives per order.  The pullback weight at node s is
-    s^(2n-1) det DF, formed as radial * (s * tangential)^(2n-1) from
-    _radial_jacobian: s * tangential is about beta(s) <= r, so no factor
-    overflows, where det DF alone grows like (rho/s)^(2n-2) at the origin.
+    read-only, so every check on one chart takes one profile evaluation
+    per order.  The pullback weight at node s is s^(2n-1) det DF, formed
+    as beta' beta^(2n-1): beta <= r, so no factor overflows, where
+    det DF alone grows like (rho/s)^(2n-2) at the origin.
     """
     params = LocalModelParams(n, rho, delta, r)
     cuts = (0.0, delta, r - delta, r)
-    # all panels share one chart call; each panel still sums on its own
+    # all panels share one profile call; each panel still sums on its own
     s, w = np.concatenate([_gauss_nodes(a, b, order)
                            for a, b in zip(cuts[:-1], cuts[1:])], axis=1)
     panel = np.repeat(np.arange(len(cuts) - 1), order)
-    keep = s >= 1e-8
+    keep = s >= 1e-8 * r
     s, w, panel = s[keep], w[keep], panel[keep]
     beta = _profile_raw(s, params)
-    radial, tangential = _radial_jacobian(s, params)
-    pulled = radial * (s * tangential) ** (2 * n - 1)
+    pulled = _profile_slope(s, beta, params) * beta ** (2 * n - 1)
     for array in (s, w, panel, beta, pulled):
         array.flags.writeable = False
     return s, w, panel, beta, pulled, int(np.count_nonzero(~keep))
@@ -265,9 +267,8 @@ def _gauss_pullback(h, params, order):
 
     Radial-angular factorization: the sphere average of H o F at radius s
     is the sphere average of H at radius beta(s), and det DF is constant
-    on spheres by unitary equivariance, so one axis derivative pair per
-    radial node (_radial_jacobian at (s, 0, ..., 0)) gives it, folded with
-    s^(2n-1) into the cached pullback weight.  Panels split at the
+    on spheres by unitary equivariance, beta' (beta/s)^(2n-1), folded
+    with s^(2n-1) into the cached pullback weight.  Panels split at the
     smoothstep kinks, where the profile is only C^2.
     """
     s, w, panel, beta, pulled, skipped = _pullback_rule(
@@ -283,13 +284,13 @@ def verify_annulus_pushforward(h, params, scheme="product-gauss", order=32,
     """Both sides of the chart change-of-variables identity, plus deviation.
 
     Left: integral of (H o F) det DF over the punctured ball of radius r,
-    det DF taken by the axis rule of _radial_jacobian at each node's or
-    sample's radius, which equivariance makes exact on the whole sphere.
-    Right: integral of H over the annulus rho < |z| <= r, computed with no
-    reference to the chart.  The
-    two parameterizations agree up to quadrature and finite-difference
-    error; the returned deviation is relative to the right side's scale.
-    monte-carlo draws each side in its own region, with its own seed, and
+    with det DF = beta'(s) (beta(s)/s)^(2n-1) in closed form at each
+    node's or sample's radius s; radii below 1e-8 r are skipped and
+    counted.  Right: integral of H over the annulus rho < |z| <= r, which
+    never touches the chart.  The two agree up to quadrature error only if
+    the profile's slope is its derivative and it runs from rho to r; the
+    returned deviation is relative to the right side's scale.  monte-carlo
+    draws each side in its own region, with its own seed, and
     _default_samples(n) points unless told.
     """
     if len(h.weights) != params.n:
@@ -307,14 +308,14 @@ def verify_annulus_pushforward(h, params, scheme="product-gauss", order=32,
         def pullback(radii, moments):
             # H o F = -pi beta(|x|)^2 q + c: the chart keeps directions
             nonlocal skipped
-            near = radii < 1e-8
+            near = radii < 1e-8 * params.r
             skipped += int(np.count_nonzero(near))
             values = np.zeros(len(radii))
             s = radii[~near]
-            radial, tangential = _radial_jacobian(s, params)
-            dets = radial * tangential ** (2 * params.n - 1)
-            values[~near] = _sphere_values(h, _profile_raw(s, params),
-                                           moments[~near]) * dets
+            beta = _profile_raw(s, params)
+            dets = (_profile_slope(s, beta, params)
+                    * (beta / s) ** (2 * params.n - 1))
+            values[~near] = _sphere_values(h, beta, moments[~near]) * dets
             return values
 
         left = _monte_carlo(pullback, h.weights, params.r, samples, seed)

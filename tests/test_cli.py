@@ -281,6 +281,25 @@ def test_verify_at_n_60_is_finite_and_passes(tmp_path, capsys):
                for row in rows)
 
 
+@pytest.mark.parametrize("k", [-20, -10, 0, 10, 20])
+def test_verify_integrals_pass_at_every_dilation(tmp_path, capsys, k):
+    # (rho, delta, r) -> 2^k (rho, delta, r) with C -> 4^k C is an exact
+    # symmetry of the local model, so the integral rows read as at k = 0
+    scale = Fraction(2) ** k
+    payload = base_manifest()
+    payload["loops"] = [{"name": "main", "weights": [1, 2],
+                         "C": str(Fraction(1, 2) * scale ** 2)}]
+    payload["local_model"] = {key: value * float(scale) for key, value
+                              in payload["local_model"].items()}
+    path = write_manifest(tmp_path, payload)
+    assert cli.main(["verify", path, "--check", "integrals"]) == 0
+    rows = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert [row["check"] for row in rows] == [
+        "annulus-pushforward:main", "normalized-lemma:main",
+        "ball-closed-form:main"]
+    assert all(row["pass"] and row["max_deviation"] <= 1e-12 for row in rows)
+
+
 def test_verify_takes_weights_beyond_int64_as_floats(tmp_path, capsys):
     payload = base_manifest()
     payload["loops"][0]["weights"] = [10 ** 30, 1]

@@ -26,7 +26,8 @@ from blowup.local_model import (
     _chart,
     _complexify,
     _jacobian,
-    _radial_jacobian,
+    _profile_raw,
+    _profile_slope,
     _realify,
     _rows,
 )
@@ -567,37 +568,34 @@ def test_jacobian_calls_its_map_twice_into_a_contiguous_array():
     assert jac.flags.c_contiguous
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_radial_jacobian_is_the_axis_diagonal_bit_for_bit(n):
-    # radii in all three profile bands, and on both band edges
-    p = LocalModelParams(n=n, rho=0.4, delta=0.2, r=1.0)
-    s = np.concatenate([np.linspace(1e-6, p.r, 1003),
-                        [p.delta, p.r - p.delta]])
-    axis = np.zeros((len(s), 2 * n))
-    axis[:, 0] = s
-    jac = _jacobian(lambda x: _chart(x, p), axis)
-    radial, tangential = _radial_jacobian(s, p)
-    diagonal = np.diagonal(jac, axis1=1, axis2=2)
-    assert radial.tobytes() == np.ascontiguousarray(diagonal[:, 0]).tobytes()
-    for k in range(1, 2 * n):
-        assert (tangential.tobytes()
-                == np.ascontiguousarray(diagonal[:, k]).tobytes())
-    off = jac.copy()
-    off[:, np.arange(2 * n), np.arange(2 * n)] = 0.0
-    assert not np.any(off)
+def profile_band_radii(p, count=201):
+    """Radii inside each of the three profile bands, a step clear of the
+    kinks at delta and r - delta, where the profile is only C^2."""
+    h = FD_STEP * p.r
+    bands = [(h, p.delta - h), (p.delta + h, p.r - p.delta - h),
+             (p.r - p.delta + h, p.r - h)]
+    return [np.linspace(a, b, count) for a, b in bands]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_radial_jacobian_determinant_near_the_origin(n):
-    # det DF = beta' (beta/s)^(2n-1) in closed form; the axis rule keeps
-    # its finite-difference error small where det DF is large
-    p = LocalModelParams(n=n, rho=0.4, delta=0.2, r=1.0)
-    s = np.array([1e-3, 1e-2])
-    value, slope = beta_profile(s, p)
-    exact = slope * (value / s) ** (2 * n - 1)
-    radial, tangential = _radial_jacobian(s, p)
-    det = radial * tangential ** (2 * n - 1)
-    assert np.all(np.abs(det / exact - 1.0) <= 1e-3)
+@pytest.mark.parametrize("scale", [2.0 ** -20, 1.0, 2.0 ** 20])
+@pytest.mark.parametrize("rho, delta, r", [(0.4, 0.2, 1.0),
+                                           (0.3, 0.15, 0.9)])
+def test_profile_slope_is_the_derivative_of_the_profile(scale, rho, delta, r):
+    # the pullbacks take beta' in closed form, so its witness is a central
+    # difference of the profile itself; the slope is dimensionless, and the
+    # step scales with r, so the bound holds at every scale
+    p = LocalModelParams(n=2, rho=rho * scale, delta=delta * scale,
+                         r=r * scale)
+    h = FD_STEP * p.r
+    for s in profile_band_radii(p):
+        slope = _profile_slope(s, _profile_raw(s, p), p)
+        witness = (_profile_raw(s + h, p) - _profile_raw(s - h, p)) / (2 * h)
+        assert np.max(np.abs(slope - witness)) <= 1e-8
+    # and the witness sees a slope that is off by 1e-3 on the band
+    s = profile_band_radii(p)[1]
+    slope = _profile_slope(s, _profile_raw(s, p), p)
+    witness = (_profile_raw(s + h, p) - _profile_raw(s - h, p)) / (2 * h)
+    assert np.max(np.abs(slope * (1 + 1e-3) - witness)) > 1e-4
 
 
 def test_beta_slope_matches_reference_bit_for_bit():

@@ -14,7 +14,7 @@ from blowup import cli, local_model, quadrature
 from blowup.exact_field import eval_at
 from blowup.local_model import (FD_STEP, LocalHamiltonian, LocalModelParams,
                                 _chart, _complexify, _jacobian,
-                                _radial_jacobian, _shell_moments,
+                                _profile_slope, _shell_moments,
                                 _shell_samples, beta_profile)
 from blowup.quadrature import (
     MC_SEED,
@@ -186,9 +186,10 @@ def test_annulus_pullback_at_n_60_stays_finite():
 
 @pytest.mark.parametrize("n", [30, 60])
 def test_integral_rows_report_the_true_deviation_at_large_n(n):
-    # every integral here lies far below 1e-12 at r = 1, where an absolute
-    # floor of 1e-12 made the rows read 4e-17 (n = 30) and 1e-51 (n = 60)
-    # for a true deviation of 4.6e-12
+    # every integral here lies far below 1e-12 at r = 1, so an absolute
+    # floor of 1e-12 would scale each row's true deviation, 3e-15 to
+    # 1.5e-14, down by |reference| / 1e-12: the annulus row to about 2e-20
+    # at n = 30 and 1e-54 at n = 60.  The relative floor keeps them true.
     params = LocalModelParams(n=n, rho=0.4, delta=0.2, r=1.0)
     h = LocalHamiltonian(weights=(1,) * n)
     manifold = ManifoldSpec(n=n, V=Fraction(1), a=Fraction(1))
@@ -212,8 +213,9 @@ def test_integral_rows_report_the_true_deviation_at_large_n(n):
         "ball-closed-form:ones": (abs(integrate_ball(h, 0.4, n).value
                                       - expected) / abs(expected)),
     }
-    assert true["annulus-pushforward:ones"] > 1e-12
+    assert abs(annulus.right.value) < 1e-12 and abs(lemma_right) < 1e-12
     for check, deviation in true.items():
+        assert deviation > 0.0
         assert abs(rows[check] - deviation) <= 0.01 * deviation
 
 
@@ -273,21 +275,22 @@ def test_normalized_lemma_shares_the_annulus_pullback():
 
 
 def test_verify_integrals_build_one_jacobian_per_order(monkeypatch):
+    # the chart determinant comes from one closed-form slope call per order
     calls = []
     widths = []
 
-    def counting_radial_jacobian(s, params):
+    def counting_slope(s, beta, params):
         calls.append(len(s))
-        return _radial_jacobian(s, params)
+        return _profile_slope(s, beta, params)
 
     def recording_jacobian(real_map, coords, step=FD_STEP):
         widths.append(coords.shape[1])
         return _jacobian(real_map, coords, step)
 
-    monkeypatch.setattr(quadrature, "_radial_jacobian",
-                        counting_radial_jacobian)
+    monkeypatch.setattr(quadrature, "_profile_slope", counting_slope)
     monkeypatch.setattr(local_model, "_jacobian", recording_jacobian)
     assert not hasattr(quadrature, "_jacobian")
+    assert not hasattr(quadrature, "beta_profile")
     quadrature._pullback_rule.cache_clear()
     manifest = cli.Manifest(
         manifold=ManifoldSpec(n=2, V=Fraction(1), a=Fraction(1)),
@@ -300,40 +303,57 @@ def test_verify_integrals_build_one_jacobian_per_order(monkeypatch):
     assert all(row.passed for row in rows)
     # orders 32 and 16, three panels each, shared by both loops and checks
     assert calls == [3 * 32, 3 * 16]
-    # the Monte-Carlo side takes the same axis rule, once per block
+    # the Monte-Carlo side takes the same slope, once per block
     calls.clear()
     h = LocalHamiltonian(weights=(1, 2), c=0.5)
     verify_annulus_pushforward(h, params, "monte-carlo", samples=160)
     assert calls == [10] * 16
-    # the axis rule is written out in one dimension: no pullback takes
-    # _jacobian of the chart at all
+    # no pullback takes _jacobian of the chart at all
     assert widths == []
 
 
-@pytest.mark.parametrize("n, seed", [(2, 0), (2, 12), (2, 39), (2, 61),
-                                     (2, 2), (3, 0), (4, 0)])
-def test_monte_carlo_pullback_matches_closed_form_determinant(n, seed):
-    # the same draws weighted by det DF = beta' (beta/s)^(2n-1) in closed
-    # form: the axis rule's finite-difference error moves the left value
-    # by far less than its standard error.  Of the seeds 0-99, 61 and 2
-    # give the default-count n = 2 pullback draws with the smallest least
-    # radius, 0.0192 and 0.0272, near the origin where det DF is large;
-    # their left values move by 2.2e-7 and 1.3e-7 standard errors, the
-    # most of these cases.
-    params = LocalModelParams(n=n, rho=0.4, delta=0.2, r=1.0)
-    h = LocalHamiltonian(weights=tuple(range(1, n + 1)), c=0.3)
-    left = verify_annulus_pushforward(h, params, "monte-carlo",
-                                      seed=seed).left
+def test_integral_rows_fail_on_a_wrong_profile_slope(monkeypatch):
+    # the right side never touches the chart, so a slope that is not the
+    # derivative of the profile breaks the identity: 1e-3 too steep on the
+    # transition band fails both chart rows, while the ball row, which
+    # never pulls back, still passes
+    def steep_slope(s, beta, params):
+        band = (s > params.delta) & (s < params.r - params.delta)
+        return _profile_slope(s, beta, params) * np.where(band, 1 + 1e-3, 1.0)
 
-    def closed_form_pullback(radii, moments):
-        # H o F = -pi beta^2 q + c on the same radii and direction moments
-        value, slope = beta_profile(radii, params)
-        dets = slope * (value / radii) ** (2 * n - 1)
-        return (-math.pi * value * value * moments + h.constant()) * dets
+    monkeypatch.setattr(quadrature, "_profile_slope", steep_slope)
+    quadrature._pullback_rule.cache_clear()
+    manifest = cli.Manifest(
+        manifold=ManifoldSpec(n=2, V=Fraction(1), a=Fraction(1)),
+        loops=[CircleLoopSpec(weights=(1, 2), C=Fraction(1, 2),
+                              name="main")],
+        local_model={"rho": 0.4, "delta": 0.2, "r": 1.0},
+        seed=0)
+    params = LocalModelParams(n=2, **manifest.local_model)
+    try:
+        rows = {row.check: row
+                for row in cli._verify_rows(manifest, params, "integrals")}
+    finally:
+        quadrature._pullback_rule.cache_clear()
+    assert not rows["annulus-pushforward:main"].passed
+    assert not rows["normalized-lemma:main"].passed
+    assert rows["ball-closed-form:main"].passed
 
-    exact = quadrature._monte_carlo(closed_form_pullback, h.weights,
-                                    params.r, None, seed)
-    assert abs(left.value - exact.value) <= 1e-6 * exact.error_estimate
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_skip_radius_scales_with_the_model(n):
+    # at 2^-20 (0.4, 0.2, 1) the least order-32 Gauss nodes lie below an
+    # absolute 1e-8, which dropped five of them; relative to r none is
+    # dropped, and the rows read as at scale 1
+    scale = 2.0 ** -20
+    params = LocalModelParams(n=n, rho=0.4 * scale, delta=0.2 * scale,
+                              r=scale)
+    h = LocalHamiltonian(weights=tuple(range(1, n + 1)), c=0.3 * scale ** 2)
+    annulus = verify_annulus_pushforward(h, params)
+    lemma = verify_normalized_lemma(h, params)
+    assert annulus.skipped == 0 and lemma.skipped == 0
+    assert annulus.deviation <= 1e-12
+    assert lemma.max_deviation <= 1e-12
 
 
 # ------------------------------------------- Monte-Carlo reference copies
@@ -464,20 +484,23 @@ def test_monte_carlo_ball_matches_reference(n, seed, samples):
 
 
 def _reference_axis_det(coords, params):
-    """det DF at each row: the chart's central differences at the axis
-    point (s, 0) of the row's radius, one radial entry times 2n - 1 equal
-    tangential ones."""
+    """det DF at each row in closed form: the chart is diagonal at the axis
+    point (s, 0) of the row's radius, with one radial entry beta'(s) and
+    2n - 1 tangential ones beta(s)/s."""
     s = np.linalg.norm(coords, axis=1)
-    zero = np.zeros_like(s)
-    chart = lambda x, y: _chart(np.stack([x, y], axis=1), params)
-    radial = ((chart(s + FD_STEP, zero)[:, 0] - chart(s - FD_STEP, zero)[:, 0])
-              / (2 * FD_STEP))
-    tangential = ((chart(s, zero + FD_STEP)[:, 1]
-                   - chart(s, zero - FD_STEP)[:, 1]) / (2 * FD_STEP))
-    return radial * tangential ** (2 * params.n - 1)
+    value, slope = beta_profile(s, params)
+    return slope * (value / s) ** (2 * params.n - 1)
 
 
-@pytest.mark.parametrize("n,seed,samples", MC_CASES)
+# The default-count cases add near-origin draws, where det DF is large: of
+# the seeds 0-99, 61 and 2 give the n = 2 pullback draws with the smallest
+# least radius, 0.0192 and 0.0272.
+PUSHFORWARD_CASES = MC_CASES + [(2, 0, None), (2, 12, None), (2, 39, None),
+                                (2, 61, None), (2, 2, None), (3, 0, None),
+                                (4, 0, None)]
+
+
+@pytest.mark.parametrize("n,seed,samples", PUSHFORWARD_CASES)
 def test_monte_carlo_pushforward_matches_reference(n, seed, samples):
     params = LocalModelParams(n=n, rho=0.3, delta=0.2, r=1.0)
     h = LocalHamiltonian(weights=tuple(range(n, 0, -1)), c=0.8)
@@ -485,11 +508,12 @@ def test_monte_carlo_pushforward_matches_reference(n, seed, samples):
                              * _reference_axis_det(x, params))
     got = verify_annulus_pushforward(h, params, "monte-carlo",
                                      samples=samples, seed=seed)
+    count = quadrature._default_samples(n) if samples is None else samples
     assert_matches_reference(got.left, _reference_mc_shell(
-        pulled_back, n, 1.0, 0.0, samples, seed))
+        pulled_back, n, 1.0, 0.0, count, seed))
     assert_matches_reference(got.right, _reference_mc_shell(
-        lambda x: h.values(_complexify(x)), n, 1.0, 0.3, samples, seed + 1))
-    assert got.left.samples_or_order == got.right.samples_or_order == samples
+        lambda x: h.values(_complexify(x)), n, 1.0, 0.3, count, seed + 1))
+    assert got.left.samples_or_order == got.right.samples_or_order == count
     assert got.skipped == 0
 
 
