@@ -312,6 +312,30 @@ def test_verify_integrals_build_one_jacobian_per_order(monkeypatch):
     assert widths == []
 
 
+@pytest.mark.parametrize("n, seed", [(2, 0), (2, 12), (2, 39), (2, 61),
+                                     (2, 2), (3, 0), (4, 0)])
+def test_monte_carlo_pullback_matches_closed_form_determinant(n, seed):
+    # the program's default-count draws weighted by det DF =
+    # beta' (beta/s)^(2n-1), written out here from the public, checked
+    # beta_profile.  Of the seeds 0-99, 61 and 2 give the n = 2 pullback
+    # draws with the smallest least radius, 0.0192 and 0.0272, near the
+    # origin where det DF is large.
+    params = LocalModelParams(n=n, rho=0.4, delta=0.2, r=1.0)
+    h = LocalHamiltonian(weights=tuple(range(1, n + 1)), c=0.3)
+    left = verify_annulus_pushforward(h, params, "monte-carlo",
+                                      seed=seed).left
+
+    def closed_form_pullback(radii, moments):
+        # H o F = -pi beta^2 q + c on the same radii and direction moments
+        value, slope = beta_profile(radii, params)
+        dets = slope * (value / radii) ** (2 * n - 1)
+        return (-math.pi * value * value * moments + h.constant()) * dets
+
+    exact = quadrature._monte_carlo(closed_form_pullback, h.weights,
+                                    params.r, None, seed)
+    assert abs(left.value - exact.value) <= 1e-6 * exact.error_estimate
+
+
 def test_integral_rows_fail_on_a_wrong_profile_slope(monkeypatch):
     # the right side never touches the chart, so a slope that is not the
     # derivative of the profile breaks the identity: 1e-3 too steep on the
@@ -492,15 +516,7 @@ def _reference_axis_det(coords, params):
     return slope * (value / s) ** (2 * params.n - 1)
 
 
-# The default-count cases add near-origin draws, where det DF is large: of
-# the seeds 0-99, 61 and 2 give the n = 2 pullback draws with the smallest
-# least radius, 0.0192 and 0.0272.
-PUSHFORWARD_CASES = MC_CASES + [(2, 0, None), (2, 12, None), (2, 39, None),
-                                (2, 61, None), (2, 2, None), (3, 0, None),
-                                (4, 0, None)]
-
-
-@pytest.mark.parametrize("n,seed,samples", PUSHFORWARD_CASES)
+@pytest.mark.parametrize("n,seed,samples", MC_CASES)
 def test_monte_carlo_pushforward_matches_reference(n, seed, samples):
     params = LocalModelParams(n=n, rho=0.3, delta=0.2, r=1.0)
     h = LocalHamiltonian(weights=tuple(range(n, 0, -1)), c=0.8)
@@ -508,12 +524,11 @@ def test_monte_carlo_pushforward_matches_reference(n, seed, samples):
                              * _reference_axis_det(x, params))
     got = verify_annulus_pushforward(h, params, "monte-carlo",
                                      samples=samples, seed=seed)
-    count = quadrature._default_samples(n) if samples is None else samples
     assert_matches_reference(got.left, _reference_mc_shell(
-        pulled_back, n, 1.0, 0.0, count, seed))
+        pulled_back, n, 1.0, 0.0, samples, seed))
     assert_matches_reference(got.right, _reference_mc_shell(
-        lambda x: h.values(_complexify(x)), n, 1.0, 0.3, count, seed + 1))
-    assert got.left.samples_or_order == got.right.samples_or_order == count
+        lambda x: h.values(_complexify(x)), n, 1.0, 0.3, samples, seed + 1))
+    assert got.left.samples_or_order == got.right.samples_or_order == samples
     assert got.skipped == 0
 
 
