@@ -18,7 +18,9 @@ and a numeric rho is used solely for evaluation and the numerical checks.
 Exit codes: 0 success, 1 a verification exceeded its tolerance, 2 usage
 or manifest error.  The verify command prints one text line per check and
 finishes with a single-line JSON array of rows
-{check, samples, max_deviation, tolerance, pass}.
+{check, samples, max_deviation, tolerance, pass}.  A closed stdout pipe
+cuts the output short and nothing else: every command computes its exit
+code before its first print, and nothing goes to stderr.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -252,14 +255,16 @@ def cmd_lift(manifest, loop_name, out=None):
     out = out if out is not None else sys.stdout
     loop = _lookup_loop(manifest, loop_name)
     value = lift_value_circle(loop, manifest.manifold)
+    rho = _numeric_weight(manifest)
+    # evaluated before the first print, so an error there prints nothing
+    if rho is not None:
+        tau0, base, lifted = _evaluate(value, rho)
     print("loop %s: weights %s, C = %s"
           % (loop.name, list(loop.weights), loop.C), file=out)
     print("base:    %s" % value.base_value, file=out)
     print("lifted:  %s" % value.lifted_value, file=out)
     print("lattice: Z<%s> + Z<t>" % manifest.manifold.a, file=out)
-    rho = _numeric_weight(manifest)
     if rho is not None:
-        tau0, base, lifted = _evaluate(value, rho)
         print("at rho = %g (t = %.12g): base = %.12g, lifted = %.12g"
               % (rho, tau0, base, lifted), file=out)
     return 0
@@ -409,10 +414,15 @@ def cmd_verify(manifest, which, out=None):
     except ValueError as exc:
         raise ManifestError(str(exc)) from None
     rows = _verify_rows(manifest, params, which)
-    for row in rows:
-        print(row.line(), file=out)
-    print(json.dumps([row.as_dict() for row in rows]), file=out)
-    return 0 if all(row.passed for row in rows) else 1
+    status = 0 if all(row.passed for row in rows) else 1
+    try:
+        for row in rows:
+            print(row.line(), file=out)
+        print(json.dumps([row.as_dict() for row in rows]), file=out)
+    except BrokenPipeError as exc:
+        exc.status = status  # main exits with it
+        raise
+    return status
 
 
 def cmd_eval(manifest, loop_name, rho, out=None):
@@ -474,20 +484,28 @@ def _build_parser():
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    status = 0
     try:
         manifest = load_manifest(args.manifest)
         if args.command == "lift":
-            return cmd_lift(manifest, args.loop)
-        if args.command == "order":
-            return cmd_order(manifest, args.loop)
-        if args.command == "rank":
-            return cmd_rank(manifest)
-        if args.command == "verify":
-            return cmd_verify(manifest, args.check)
-        return cmd_eval(manifest, args.loop, args.rho)
+            status = cmd_lift(manifest, args.loop)
+        elif args.command == "order":
+            status = cmd_order(manifest, args.loop)
+        elif args.command == "rank":
+            status = cmd_rank(manifest)
+        elif args.command == "verify":
+            status = cmd_verify(manifest, args.check)
+        else:
+            status = cmd_eval(manifest, args.loop, args.rho)
+        sys.stdout.flush()  # where a block-buffered stdout meets the pipe
     except ManifestError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except BrokenPipeError as exc:
+        # stdout to os.devnull, so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return getattr(exc, "status", status)
+    return status
 
 
 if __name__ == "__main__":

@@ -26,6 +26,10 @@ would fail to be strictly increasing.  This is sharper than the uniform
 sufficient bound max|chi'| < 2*delta/rho^2, which rejects perfectly good
 profiles such as rho=0.4, delta=0.2, r=1.
 
+The loops are circle actions psi_t z = (exp(-2 pi i m_j t) z_j) of integer
+weights, UnitaryLoop, generated by LocalHamiltonian's -pi sum m_j |z_j|^2
++ c with c constant; the loop's field -2 pi i m_j z_j is in closed form.
+
 Checks report a CheckResult carrying name, sample count, max deviation,
 tolerance, and a skipped-sample count; finite differences are central
 with step 1e-5.
@@ -47,11 +51,11 @@ and returns a C-contiguous array, since the @ products of the checks
 round differently on a transposed view; it serves the chart checks,
 where the map is arbitrary and a finite difference is the witness.
 Checks run the kernel over all their seeded samples at once; per-point
-callables (a bare Hamiltonian, map_fn, matrix_fn) go through the row
-loop _rows.  symplectic_pullback_check takes its map as an (n, n)
-complex matrix or as such a callable.  Deviations are reduced with
-np.max, so a NaN sample gives a NaN deviation, which never passes, and
-a check that samples nothing fails.
+callables (a bare Hamiltonian in s1_invariance_check, a map in
+symplectic_pullback_check, which also takes an (n, n) complex matrix) go
+through the row loop _rows.  Deviations are reduced with np.max, so a
+NaN sample gives a NaN deviation, which never passes, and a check that
+samples nothing fails.
 """
 
 from __future__ import annotations
@@ -221,7 +225,7 @@ def _chart(coords, params):
     return coords * (_profile_raw(radii, params) / radii)[..., None]
 
 
-def _jacobian(real_map, coords, step=FD_STEP):
+def _jacobian(real_map, coords):
     """(N, 2n, 2n) central-difference Jacobians of a batched real map.
 
     real_map runs twice: once on all 2n "+step" copies of the rows, once on
@@ -232,7 +236,7 @@ def _jacobian(real_map, coords, step=FD_STEP):
     transposed view.
     """
     count, dim = coords.shape
-    bumps = np.eye(dim) * step
+    bumps = np.eye(dim) * FD_STEP
 
     def bumped(op):
         # values[k, i, j] is component j of the map at row i bumped in k
@@ -242,7 +246,7 @@ def _jacobian(real_map, coords, step=FD_STEP):
     jac = np.empty((count, dim, dim))
     jac[...] = bumped(np.add)
     jac -= bumped(np.subtract)
-    jac /= 2 * step
+    jac /= 2 * FD_STEP
     return jac
 
 
@@ -282,38 +286,37 @@ class DivisorDirection:
 
 @dataclass
 class LocalHamiltonian:
-    """Quadratic circle-type Hamiltonian -pi sum m_j |z_j|^2 + c.
+    """Circle-type Hamiltonian -pi sum m_j |z_j|^2 + c of integer weights.
 
-    c may be a float or a callable of time; checks evaluate it at the
-    sample time, which for a constant is the constant itself.
+    c is converted to a float once; a NaN still constructs, and every check
+    it enters then fails closed.
     """
 
     weights: tuple
-    c: object = 0.0
+    c: float = 0.0
 
     def __post_init__(self):
         self.weights = tuple(int(m) for m in self.weights)
+        self.c = float(self.c)
 
     @property
     def weight_sum(self):
         return sum(self.weights)
 
-    def constant(self, t=None):
-        if callable(self.c):
-            return float(self.c(0.0 if t is None else t))
-        return float(self.c)
+    def constant(self):
+        return self.c
 
-    def values(self, points, t=None):
+    def values(self, points):
         """H on each row of an (N, n) complex array."""
         weights = np.asarray(self.weights, dtype=float)
         quad = np.abs(points) ** 2 @ weights
-        return -math.pi * quad + self.constant(t)
+        return -math.pi * quad + self.c
 
-    def value(self, z, t=None):
-        return self.values(np.asarray(z, dtype=complex)[None], t)[0]
+    def value(self, z):
+        return self.values(np.asarray(z, dtype=complex)[None])[0]
 
 
-def lifted_hamiltonian(h, point, params, t=None):
+def lifted_hamiltonian(h, point, params):
     """Value of the lifted Hamiltonian at a chart point or divisor direction.
 
     Off the divisor the lift is h composed with the chart map; on the
@@ -322,8 +325,8 @@ def lifted_hamiltonian(h, point, params, t=None):
     up to |z|^2, which is what divisor_continuity_check samples.
     """
     if isinstance(point, DivisorDirection):
-        return h.value(params.rho * point.w, t)
-    return h.value(f_rho(point, params), t)
+        return h.value(params.rho * point.w)
+    return h.value(f_rho(point, params))
 
 
 @dataclass
@@ -363,32 +366,21 @@ class CheckResult:
 
 
 class UnitaryLoop:
-    """Path of unitary matrices psi_t with psi_0 = identity.
+    """Circle action psi_t z = (exp(-2 pi i m_j t) z_j) of integer weights.
 
-    The diagonal loop of integer weights (m_1 .. m_n) sends z_j to
-    exp(-2 pi i m_j t) z_j.  A general path may be supplied as a callable
-    t -> (n x n) complex matrix; identity start and unitarity are
-    spot-checked to 1e-12 at construction.  matrix and vector_field take
-    a scalar time or an array of times.
+    The loop that -pi sum m_j |z_j|^2 + c generates.  Its matrices are
+    diagonals of unit phases, so every psi_t is unitary and psi_0 is the
+    identity by construction.  matrix takes a scalar time or an array of
+    times.
     """
 
-    __slots__ = ("n", "weights", "_matrix_fn")
+    __slots__ = ("n", "weights")
 
-    def __init__(self, n, weights=None, matrix_fn=None):
+    def __init__(self, n, weights):
         self.n = int(n)
-        self.weights = None if weights is None else tuple(int(m) for m in weights)
-        self._matrix_fn = matrix_fn
-        if (weights is None) == (matrix_fn is None):
-            raise ValueError("provide exactly one of weights or matrix_fn")
-        if self.weights is not None and len(self.weights) != self.n:
+        self.weights = tuple(int(m) for m in weights)
+        if len(self.weights) != self.n:
             raise ValueError("weight count must match n")
-        eye = np.eye(self.n)
-        if np.max(np.abs(self.matrix(0.0) - eye)) > 1e-12:
-            raise ValueError("path must start at the identity")
-        for t in (0.17, 0.5, 0.83):
-            m = self.matrix(t)
-            if np.max(np.abs(m.conj().T @ m - eye)) > 1e-12:
-                raise ValueError("path is not unitary at t=%g" % t)
 
     @classmethod
     def diagonal(cls, weights):
@@ -398,27 +390,19 @@ class UnitaryLoop:
     def matrix(self, t):
         """psi_t, stacked to shape t.shape + (n, n) for an array of times."""
         t = np.asarray(t, dtype=float)
-        shape = t.shape + (self.n, self.n)
-        if self.weights is None:
-            return np.asarray([self._matrix_fn(s) for s in t.ravel()],
-                              dtype=complex).reshape(shape)
-        out = np.zeros(shape, dtype=complex)
+        out = np.zeros(t.shape + (self.n, self.n), dtype=complex)
         diag = np.arange(self.n)
         out[..., diag, diag] = np.exp(
             -2j * math.pi * np.asarray(self.weights, dtype=float) * t[..., None])
         return out
 
-    def vector_field(self, t, z, dt=FD_STEP):
-        """Velocity field at z, by central t-differencing.
+    def vector_field(self, z):
+        """Velocity -2 pi i m_j z_j at each point of a (..., n) stack.
 
-        t may be an array of times and z a (..., n) stack of points whose
-        leading shape broadcasts against it.
+        A circle action's field does not depend on time.
         """
-        t = np.asarray(t, dtype=float)
-        base = np.linalg.solve(self.matrix(t),
-                               np.asarray(z, dtype=complex)[..., None])
-        return ((self.matrix(t + dt) @ base - self.matrix(t - dt) @ base)
-                / (2 * dt))[..., 0]
+        weights = np.asarray(self.weights, dtype=float)
+        return -2j * math.pi * weights * np.asarray(z, dtype=complex)
 
 
 def _shell_radii(rng, count, n, radius, inner=0.0):
@@ -492,7 +476,7 @@ def s1_invariance_check(h, samples=1000, seed=0, params=None):
 
 
 def symplectic_pullback_check(map_fn, params, reference_form="blowup",
-                              grid=500, seed=0, step=FD_STEP):
+                              grid=500, seed=0):
     """Check that a chart map preserves the reference symplectic structure.
 
     map_fn is an (n, n) complex matrix, applied to every sample at once,
@@ -543,8 +527,7 @@ def symplectic_pullback_check(map_fn, params, reference_form="blowup",
                 - apply(_complexify(coords))[moved]), axis=-1)
             extras["conjugation"] = float(np.max(gaps))
         J = np.kron(np.eye(n), [[0.0, 1.0], [-1.0, 0.0]])
-        jac = _jacobian(lambda x: _realify(apply(_complexify(x))), coords,
-                        step)
+        jac = _jacobian(lambda x: _realify(apply(_complexify(x))), coords)
         extras["symplectic"] = float(np.max(np.abs(
             np.swapaxes(jac, 1, 2) @ J @ jac - J)))
     return CheckResult(
@@ -557,31 +540,27 @@ def symplectic_pullback_check(map_fn, params, reference_form="blowup",
     )
 
 
-def vector_field_relation_check(loop, params, samples=200, seed=0, scale=1.0):
-    """Compatibility of loop velocity fields with the blow-down chart map.
+def vector_field_relation_check(loop, params, samples=200, seed=0):
+    """Compatibility of a loop's velocity field with the blow-down chart map.
 
     The lifted loop acts in the chart by the same unitary matrices, so its
     velocity field X~ at z must push forward through F to the base field
     at the image: DF_z(X~(z)) = X(F(z)).  Both fields are tangent to the
     spheres on which the radial profile is constant, so no radial
     correction appears; equivalently the right side is beta(|z|) times the
-    base field at the unit direction.  Fields come from central
-    t-differencing of the path, DF from central finite differences.
+    base field at the unit direction.  Both fields are the loop's closed
+    form, DF a central finite difference: the witness for the chart map.
 
     Samples stay at radius >= r/10, where the finite-difference error of
-    DF is far below the 1e-6 tolerance.  The scale knob multiplies the
-    chart field so tests can confirm a wrong field is detected.
+    DF is far below the 1e-6 tolerance.
     """
     rng = np.random.default_rng(seed)
     coords = _shell_samples(rng, samples, params.n, params.r, params.r / 10.0)
-    times = rng.random(samples)
-    points = _complexify(coords)
     chart = lambda x: _chart(x, params)
-    images = _complexify(chart(coords))
-    # one solve per time serves both the chart point and its image
-    fields = loop.vector_field(times[:, None], np.stack([points, images], 1))
-    push = _jacobian(chart, coords) @ _realify(scale * fields[:, 0])[..., None]
-    gaps = np.abs(push[..., 0] - _realify(fields[:, 1]))
+    # one call serves both the chart points and their images
+    fields = loop.vector_field(_complexify(np.stack([coords, chart(coords)])))
+    push = _jacobian(chart, coords) @ _realify(fields[0])[..., None]
+    gaps = np.abs(push[..., 0] - _realify(fields[1]))
     return CheckResult(
         check="vector-field-relation",
         samples=samples,
@@ -590,18 +569,18 @@ def vector_field_relation_check(loop, params, samples=200, seed=0, scale=1.0):
     )
 
 
-def divisor_continuity_check(h, params, directions=64, seed=0, shrink=1e-6):
+def divisor_continuity_check(h, params, directions=64, seed=0):
     """Radial limit of the chart branch against the divisor branch.
 
-    h is a LocalHamiltonian or a callable of z, as in s1_invariance_check.
+    h is a LocalHamiltonian.  Each direction w is read at the chart point
+    1e-6 w and on the divisor at rho w.
     """
     rng = np.random.default_rng(seed)
     draws = rng.standard_normal((directions, 2, params.n))
     w = draws[:, 0] + 1j * draws[:, 1]
     w = w / np.linalg.norm(w, axis=-1, keepdims=True)
-    values = h.values if isinstance(h, LocalHamiltonian) else _rows(h)
-    inner = values(_complexify(_chart(_realify(shrink * w), params)))
-    gaps = np.abs(inner - values(params.rho * w))
+    inner = h.values(_complexify(_chart(_realify(1e-6 * w), params)))
+    gaps = np.abs(inner - h.values(params.rho * w))
     return CheckResult(
         check="divisor-continuity",
         samples=directions,

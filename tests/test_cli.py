@@ -3,6 +3,9 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 
@@ -356,7 +359,8 @@ def test_value_too_large_for_float_exits_2(tmp_path, capsys, argv):
     payload["loops"][0]["C"] = "1" + "0" * 400
     path = write_manifest(tmp_path, payload)
     assert cli.main([argv[0], path, "--loop", "main"] + argv[1:]) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""  # the value is evaluated before anything is printed
     assert err.startswith("error: ") and "fit in a float" in err
     assert err.count("\n") == 1
     assert cli.main(["order", path, "--loop", "main"]) == 0
@@ -574,3 +578,42 @@ def test_main_builds_the_parser_once(tmp_path, capsys, monkeypatch):
     built.clear()
     assert cli.main(["lift", path, "--loop", "main"]) == 0
     assert built == []
+
+
+# -- closed pipe --------------------------------------------------------------
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+
+
+def dilated_manifest(factor):
+    """base_manifest with its local model scaled by factor; at 1e3 the
+    check tolerances are not scale-invariant, so verify exits 1."""
+    payload = base_manifest()
+    payload["local_model"] = {key: value * factor for key, value
+                              in payload["local_model"].items()}
+    return payload
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@pytest.mark.parametrize("argv, factor, status", [
+    (["verify", "--check", "all"], 1.0, 0),
+    (["verify", "--check", "all"], 1e3, 1),
+    (["lift", "--loop", "main"], 1.0, 0),
+])
+def test_closed_pipe_ends_quietly_with_the_command_status(
+        tmp_path, argv, factor, status, unbuffered):
+    path = write_manifest(tmp_path, dilated_manifest(factor))
+    assert cli.main(argv[:1] + [path] + argv[1:]) == status
+    # an empty PYTHONUNBUFFERED leaves stdout block-buffered, so the pipe
+    # error comes from the flush rather than from print
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "blowup.cli", argv[0], path] + argv[1:],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    # closed before the child is done importing, so its first write fails
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert err == b""
+    assert proc.returncode == status

@@ -12,7 +12,7 @@ import pytest
 
 from blowup import cli, local_model, quadrature
 from blowup.exact_field import eval_at
-from blowup.local_model import (FD_STEP, LocalHamiltonian, LocalModelParams,
+from blowup.local_model import (LocalHamiltonian, LocalModelParams,
                                 _chart, _complexify, _jacobian,
                                 _profile_slope, _shell_moments,
                                 _shell_samples, beta_profile)
@@ -283,9 +283,9 @@ def test_verify_integrals_build_one_jacobian_per_order(monkeypatch):
         calls.append(len(s))
         return _profile_slope(s, beta, params)
 
-    def recording_jacobian(real_map, coords, step=FD_STEP):
+    def recording_jacobian(real_map, coords):
         widths.append(coords.shape[1])
-        return _jacobian(real_map, coords, step)
+        return _jacobian(real_map, coords)
 
     monkeypatch.setattr(quadrature, "_profile_slope", counting_slope)
     monkeypatch.setattr(local_model, "_jacobian", recording_jacobian)
