@@ -251,8 +251,7 @@ def _evaluate(value, rho):
                             % rho) from None
 
 
-def cmd_lift(manifest, loop_name, out=None):
-    out = out if out is not None else sys.stdout
+def cmd_lift(manifest, loop_name):
     loop = _lookup_loop(manifest, loop_name)
     value = lift_value_circle(loop, manifest.manifold)
     rho = _numeric_weight(manifest)
@@ -260,44 +259,42 @@ def cmd_lift(manifest, loop_name, out=None):
     if rho is not None:
         tau0, base, lifted = _evaluate(value, rho)
     print("loop %s: weights %s, C = %s"
-          % (loop.name, list(loop.weights), loop.C), file=out)
-    print("base:    %s" % value.base_value, file=out)
-    print("lifted:  %s" % value.lifted_value, file=out)
-    print("lattice: Z<%s> + Z<t>" % manifest.manifold.a, file=out)
+          % (loop.name, list(loop.weights), loop.C))
+    print("base:    %s" % value.base_value)
+    print("lifted:  %s" % value.lifted_value)
+    print("lattice: Z<%s> + Z<t>" % manifest.manifold.a)
     if rho is not None:
         print("at rho = %g (t = %.12g): base = %.12g, lifted = %.12g"
-              % (rho, tau0, base, lifted), file=out)
+              % (rho, tau0, base, lifted))
     return 0
 
 
-def cmd_order(manifest, loop_name, out=None):
-    out = out if out is not None else sys.stdout
+def cmd_order(manifest, loop_name):
     loop = _lookup_loop(manifest, loop_name)
     base_order = circle_loop_order(loop, manifest.manifold)
     value = lift_value_circle(loop, manifest.manifold)
     lifted_order = class_order(value.lifted_class())
     shown = "infinite" if lifted_order is None else str(lifted_order)
-    print("base order %s, lifted order %s" % (base_order, shown), file=out)
+    print("base order %s, lifted order %s" % (base_order, shown))
     if lifted_order is None:
         reduced = value.lifted_value
         print("certificate: the reduced value has numerator degree %d and "
               "denominator degree %d; every nonzero integer multiple keeps "
               "that shape, and the lattice only absorbs degree-one "
-              "polynomials" % (reduced.num.degree, reduced.den.degree),
-              file=out)
+              "polynomials" % (reduced.num.degree, reduced.den.degree))
     return 0
 
 
-def cmd_rank(manifest, out=None):
-    out = out if out is not None else sys.stdout
+def cmd_rank(manifest):
     if not manifest.loops:
         raise ManifestError("rank needs at least one loop in the manifest")
-    print(certify_rank(manifest.loops, manifest.manifold).report(), file=out)
+    print(certify_rank(manifest.loops, manifest.manifold).report())
     return 0
 
 
-def _beta_invariants_check(params, grid=10_000):
+def _beta_invariants_check(params):
     """Endpoint exactness and slope bounds as one report row."""
+    grid = 10_000
     value0, _ = beta_profile(0.0, params)
     value_r, _ = beta_profile(params.r, params)
     s = np.linspace(params.r / grid, params.r, grid)
@@ -356,7 +353,7 @@ def _verify_rows(manifest, params, which):
             # refuse it before any check of this loop overflows on it
             _require_ball_integral_range(loop, manifest.manifold, params.r)
         h = LocalHamiltonian(weights=loop.weights, c=float(loop.C))
-        unitary = UnitaryLoop.diagonal(loop.weights)
+        unitary = UnitaryLoop(loop.weights)
         label = ":" + loop.name
         if which in ("s1", "all"):
             row = s1_invariance_check(h, samples=500, seed=seed, params=params)
@@ -404,8 +401,7 @@ def _verify_rows(manifest, params, which):
     return rows
 
 
-def cmd_verify(manifest, which, out=None):
-    out = out if out is not None else sys.stdout
+def cmd_verify(manifest, which):
     if manifest.local_model is None:
         raise ManifestError("verify needs a local_model section")
     try:
@@ -417,16 +413,15 @@ def cmd_verify(manifest, which, out=None):
     status = 0 if all(row.passed for row in rows) else 1
     try:
         for row in rows:
-            print(row.line(), file=out)
-        print(json.dumps([row.as_dict() for row in rows]), file=out)
+            print(row.line())
+        print(json.dumps([row.as_dict() for row in rows]))
     except BrokenPipeError as exc:
         exc.status = status  # main exits with it
         raise
     return status
 
 
-def cmd_eval(manifest, loop_name, rho, out=None):
-    out = out if out is not None else sys.stdout
+def cmd_eval(manifest, loop_name, rho):
     loop = _lookup_loop(manifest, loop_name)
     rho = _numeric_weight(manifest, rho)
     if rho is None:
@@ -437,9 +432,9 @@ def cmd_eval(manifest, loop_name, rho, out=None):
     _require_below_width(rho, manifest.manifold.gromov_width_bound)
     tau0, base, lifted = _evaluate(lift_value_circle(loop, manifest.manifold),
                                    rho)
-    print("rho = %g, t = %.12g" % (rho, tau0), file=out)
-    print("base = %.12g" % base, file=out)
-    print("lifted = %.12g" % lifted, file=out)
+    print("rho = %g, t = %.12g" % (rho, tau0))
+    print("base = %.12g" % base)
+    print("lifted = %.12g" % lifted)
     return 0
 
 

@@ -27,8 +27,10 @@ sufficient bound max|chi'| < 2*delta/rho^2, which rejects perfectly good
 profiles such as rho=0.4, delta=0.2, r=1.
 
 The loops are circle actions psi_t z = (exp(-2 pi i m_j t) z_j) of integer
-weights, UnitaryLoop, generated by LocalHamiltonian's -pi sum m_j |z_j|^2
-+ c with c constant; the loop's field -2 pi i m_j z_j is in closed form.
+weights, UnitaryLoop(weights) on C^n with n = len(weights), generated by
+LocalHamiltonian's -pi sum m_j |z_j|^2 + c with c a constant float; the
+loop's field -2 pi i m_j z_j is in closed form, and UnitaryLoop.matrix
+gives psi_t at one time.
 
 Checks report a CheckResult carrying name, sample count, max deviation,
 tolerance, and a skipped-sample count; finite differences are central
@@ -50,12 +52,11 @@ its map twice, on all "+step" and then all "-step" copies of the rows,
 and returns a C-contiguous array, since the @ products of the checks
 round differently on a transposed view; it serves the chart checks,
 where the map is arbitrary and a finite difference is the witness.
-Checks run the kernel over all their seeded samples at once; per-point
-callables (a bare Hamiltonian in s1_invariance_check, a map in
-symplectic_pullback_check, which also takes an (n, n) complex matrix) go
-through the row loop _rows.  Deviations are reduced with np.max, so a
-NaN sample gives a NaN deviation, which never passes, and a check that
-samples nothing fails.
+Checks run the kernel over all their seeded samples at once; a map
+given to symplectic_pullback_check as a callable of one point, not as
+an (n, n) complex matrix, goes through the row loop _rows.  Deviations
+are reduced with np.max, so a NaN sample gives a NaN deviation, which
+never passes, and a check that samples nothing fails.
 """
 
 from __future__ import annotations
@@ -303,9 +304,6 @@ class LocalHamiltonian:
     def weight_sum(self):
         return sum(self.weights)
 
-    def constant(self):
-        return self.c
-
     def values(self, points):
         """H on each row of an (N, n) complex array."""
         weights = np.asarray(self.weights, dtype=float)
@@ -368,33 +366,21 @@ class CheckResult:
 class UnitaryLoop:
     """Circle action psi_t z = (exp(-2 pi i m_j t) z_j) of integer weights.
 
-    The loop that -pi sum m_j |z_j|^2 + c generates.  Its matrices are
-    diagonals of unit phases, so every psi_t is unitary and psi_0 is the
-    identity by construction.  matrix takes a scalar time or an array of
-    times.
+    The loop that -pi sum m_j |z_j|^2 + c generates, on C^n with n the
+    number of weights.  Its matrices are diagonals of unit phases, so every
+    psi_t is unitary and psi_0 is the identity by construction.
     """
 
     __slots__ = ("n", "weights")
 
-    def __init__(self, n, weights):
-        self.n = int(n)
+    def __init__(self, weights):
         self.weights = tuple(int(m) for m in weights)
-        if len(self.weights) != self.n:
-            raise ValueError("weight count must match n")
-
-    @classmethod
-    def diagonal(cls, weights):
-        weights = tuple(weights)
-        return cls(len(weights), weights=weights)
+        self.n = len(self.weights)
 
     def matrix(self, t):
-        """psi_t, stacked to shape t.shape + (n, n) for an array of times."""
-        t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape + (self.n, self.n), dtype=complex)
-        diag = np.arange(self.n)
-        out[..., diag, diag] = np.exp(
-            -2j * math.pi * np.asarray(self.weights, dtype=float) * t[..., None])
-        return out
+        """psi_t at one time t, an (n, n) complex matrix."""
+        return np.diag(np.exp(
+            -2j * math.pi * np.asarray(self.weights, dtype=float) * float(t)))
 
     def vector_field(self, z):
         """Velocity -2 pi i m_j z_j at each point of a (..., n) stack.
@@ -447,26 +433,19 @@ def _shell_moments(rng, count, weights, radius, inner=0.0):
     return radii, sums[:, 1] / sums[:, 0]
 
 
-def s1_invariance_check(h, samples=1000, seed=0, params=None):
+def s1_invariance_check(h, params, samples=1000, seed=0):
     """Max of |H(z) - H(lambda z)| over random z and unit scalars lambda.
 
-    h may be a LocalHamiltonian (dimension read off its weights, radius
-    from params when given, else 1) or any callable of z, in which case
-    params supplies the dimension.  Quadratic circle-type Hamiltonians are
+    h is a LocalHamiltonian, its dimension read off its weights; the
+    points fill the r-ball of params.  Circle-type Hamiltonians are
     invariant up to roundoff; anything else is reported with the deviation
     it produces.
     """
-    if isinstance(h, LocalHamiltonian):
-        values, n = h.values, len(h.weights)
-    elif params is None:
-        raise ValueError("a bare callable needs params for the dimension")
-    else:
-        values, n = _rows(h), params.n
-    radius = params.r if params is not None else 1.0
     rng = np.random.default_rng(seed)
-    points = _complexify(_shell_samples(rng, samples, n, radius))
+    points = _complexify(_shell_samples(rng, samples, len(h.weights),
+                                        params.r))
     phases = np.exp(2j * math.pi * rng.random(samples))
-    gaps = np.abs(values(points) - values(phases[:, None] * points))
+    gaps = np.abs(h.values(points) - h.values(phases[:, None] * points))
     return CheckResult(
         check="s1-invariance",
         samples=samples,
@@ -569,12 +548,13 @@ def vector_field_relation_check(loop, params, samples=200, seed=0):
     )
 
 
-def divisor_continuity_check(h, params, directions=64, seed=0):
+def divisor_continuity_check(h, params, seed=0):
     """Radial limit of the chart branch against the divisor branch.
 
-    h is a LocalHamiltonian.  Each direction w is read at the chart point
-    1e-6 w and on the divisor at rho w.
+    h is a LocalHamiltonian.  Each of 64 directions w is read at the chart
+    point 1e-6 w and on the divisor at rho w.
     """
+    directions = 64
     rng = np.random.default_rng(seed)
     draws = rng.standard_normal((directions, 2, params.n))
     w = draws[:, 0] + 1j * draws[:, 1]

@@ -70,6 +70,9 @@ __all__ = [
 
 MC_SEED = 0xC0FFEE
 _MC_BLOCKS = 16
+# product-gauss nodes per panel; the error estimate compares against the
+# half-order rule
+GAUSS_ORDER = 32
 
 
 @dataclass(frozen=True)
@@ -122,7 +125,7 @@ def _sphere_values(h, s, moment):
     A moment of K/n, the sphere average of every direction's moment, gives
     the sphere average of H; s and moment may be arrays.
     """
-    return -math.pi * moment * s * s + h.constant()
+    return -math.pi * moment * s * s + h.c
 
 
 def _gauss_shell(h, a, b, n, order):
@@ -133,10 +136,10 @@ def _gauss_shell(h, a, b, n, order):
     return float(np.sum(w * integrand))
 
 
-def _gauss_result(value, coarse, order):
+def _gauss_result(value, coarse):
     """Product-gauss result whose error compares against the coarse rule."""
     error = abs(value - coarse) + 1e-15 * abs(value)
-    return IntegralResult(value, error, "product-gauss", order)
+    return IntegralResult(value, error, "product-gauss", GAUSS_ORDER)
 
 
 def _shell_volume(n, radius, inner=0.0):
@@ -188,7 +191,7 @@ def _relative_deviation(value, reference, h, radius, inner=0.0):
     zero by zero.
     """
     size = (math.pi * radius * radius * max(abs(m) for m in h.weights)
-            + abs(h.constant()))
+            + abs(h.c))
     floor = 1e-12 * size * _shell_volume(len(h.weights), radius, inner)
     return abs(value - reference) / max(abs(reference), floor, math.ulp(0.0))
 
@@ -211,8 +214,8 @@ def _default_samples(n):
     return math.ceil(200_000 * math.pi ** n / (math.factorial(n) * 4 ** n))
 
 
-def integrate_ball(h, radius, n, scheme="product-gauss", order=32,
-                   samples=None, seed=MC_SEED):
+def integrate_ball(h, radius, n, scheme="product-gauss", samples=None,
+                   seed=MC_SEED):
     """Lebesgue integral of a quadratic Hamiltonian over the radius-ball.
 
     product-gauss is exact for these integrands up to roundoff; its error
@@ -228,9 +231,8 @@ def integrate_ball(h, radius, n, scheme="product-gauss", order=32,
     if len(h.weights) != n:
         raise ValueError("weight count must match n")
     if scheme == "product-gauss":
-        return _gauss_result(_gauss_shell(h, 0.0, radius, n, order),
-                             _gauss_shell(h, 0.0, radius, n, max(order // 2, 2)),
-                             order)
+        return _gauss_result(_gauss_shell(h, 0.0, radius, n, GAUSS_ORDER),
+                             _gauss_shell(h, 0.0, radius, n, GAUSS_ORDER // 2))
     if scheme == "monte-carlo":
         return _monte_carlo(lambda s, q: _sphere_values(h, s, q), h.weights,
                             radius, samples, seed)
@@ -279,8 +281,8 @@ def _gauss_pullback(h, params, order):
     return total, skipped
 
 
-def verify_annulus_pushforward(h, params, scheme="product-gauss", order=32,
-                               samples=None, seed=MC_SEED):
+def verify_annulus_pushforward(h, params, scheme="product-gauss", samples=None,
+                               seed=MC_SEED):
     """Both sides of the chart change-of-variables identity, plus deviation.
 
     Left: integral of (H o F) det DF over the punctured ball of radius r,
@@ -296,12 +298,11 @@ def verify_annulus_pushforward(h, params, scheme="product-gauss", order=32,
     if len(h.weights) != params.n:
         raise ValueError("weight count must match n")
     if scheme == "product-gauss":
-        half = max(order // 2, 2)
-        left_value, skipped = _gauss_pullback(h, params, order)
-        left = _gauss_result(left_value, _gauss_pullback(h, params, half)[0],
-                             order)
+        half = GAUSS_ORDER // 2
+        left_value, skipped = _gauss_pullback(h, params, GAUSS_ORDER)
+        left = _gauss_result(left_value, _gauss_pullback(h, params, half)[0])
         shell = lambda k: _gauss_shell(h, params.rho, params.r, params.n, k)
-        right = _gauss_result(shell(order), shell(half), order)
+        right = _gauss_result(shell(GAUSS_ORDER), shell(half))
     elif scheme == "monte-carlo":
         skipped = 0
 
@@ -328,7 +329,7 @@ def verify_annulus_pushforward(h, params, scheme="product-gauss", order=32,
     return AnnulusComparison(left, right, deviation, skipped)
 
 
-def verify_normalized_lemma(h, params, order=32):
+def verify_normalized_lemma(h, params):
     """Chart form of the lifted-integral identity, as a relative deviation.
 
     The full identity subtracts the ball term from the total integral; for
@@ -339,13 +340,13 @@ def verify_normalized_lemma(h, params, order=32):
     removes the total-volume term, so no volume enters the deviation, and
     both sides are deterministic product-gauss rules.
     """
-    left, skipped = _gauss_pullback(h, params, order)
-    outer = integrate_ball(h, params.r, params.n, order=order)
-    inner = integrate_ball(h, params.rho, params.n, order=order)
+    left, skipped = _gauss_pullback(h, params, GAUSS_ORDER)
+    outer = integrate_ball(h, params.r, params.n)
+    inner = integrate_ball(h, params.rho, params.n)
     right = outer.value - inner.value
     return CheckResult(
         check="normalized-lemma",
-        samples=order,
+        samples=GAUSS_ORDER,
         max_deviation=_relative_deviation(left, right, h, params.r,
                                           params.rho),
         tolerance=1e-4,

@@ -243,8 +243,8 @@ def test_divisor_direction_normalized():
 def test_constant_is_a_float_converted_once():
     h = LocalHamiltonian(weights=(1, 2), c=Fraction(1, 3))
     assert type(h.c) is float and h.c == 1 / 3
-    assert h.constant() == h.value(np.zeros(2)) == 1 / 3
-    assert math.isnan(LocalHamiltonian(weights=(1,), c=math.nan).constant())
+    assert h.value(np.zeros(2)) == 1 / 3
+    assert math.isnan(LocalHamiltonian(weights=(1,), c=math.nan).c)
 
 
 def test_divisor_continuity():
@@ -260,35 +260,33 @@ def test_divisor_continuity():
 
 def test_s1_invariance_quadratic():
     h = LocalHamiltonian(weights=(1, 2))
-    result = s1_invariance_check(h, samples=1000, seed=1)
+    result = s1_invariance_check(h, params_n2(), samples=1000, seed=1)
     assert result.max_deviation <= 1e-12
     assert result.passed
 
 
 def test_s1_invariance_constant():
     h = LocalHamiltonian(weights=(0, 0), c=3.5)
-    result = s1_invariance_check(h, samples=200, seed=1)
+    result = s1_invariance_check(h, params_n2(), samples=200, seed=1)
     assert result.max_deviation == 0.0
 
 
-def test_s1_invariance_detects_real_part():
-    p = params_n2()
-    result = s1_invariance_check(lambda z: z[0].real, samples=1000, seed=1,
-                                 params=p)
+def test_s1_invariance_detects_real_part(monkeypatch):
+    # H(z) = Re z_1 is not invariant under z -> lambda z
+    monkeypatch.setattr(LocalHamiltonian, "values",
+                        lambda self, points: points[:, 0].real)
+    result = s1_invariance_check(LocalHamiltonian(weights=(1, 2)),
+                                 params_n2(), samples=1000, seed=1)
     assert result.max_deviation > 0.1
     assert not result.passed
-
-
-def test_s1_invariance_callable_needs_params():
-    with pytest.raises(ValueError, match="params"):
-        s1_invariance_check(lambda z: 0.0, samples=10)
 
 
 # ------------------------------------------------------------- unitary loops
 
 
 def test_unitary_loop_diagonal_action():
-    loop = UnitaryLoop.diagonal((1, 0))
+    loop = UnitaryLoop((1, 0))
+    assert loop.n == 2
     out = loop.matrix(0.25) @ np.array([1.0, 1.0], dtype=complex)
     assert out[0] == pytest.approx(-1j, abs=1e-15)
     assert out[1] == pytest.approx(1.0, abs=1e-15)
@@ -297,7 +295,7 @@ def test_unitary_loop_diagonal_action():
 def test_unitary_loop_velocity_matches_generator():
     # the closed-form field against a central t-difference of the path,
     # psi_(t+h) psi_t^-1 z and psi_(t-h) psi_t^-1 z, at several times
-    loop = UnitaryLoop.diagonal((1, 3))
+    loop = UnitaryLoop((1, 3))
     z = np.array([0.4 + 0.1j, -0.2j])
     field = loop.vector_field(z)
     assert np.array_equal(field, -2j * math.pi * np.array([1, 3]) * z)
@@ -306,11 +304,6 @@ def test_unitary_loop_velocity_matches_generator():
         witness = (loop.matrix(t + FD_STEP) @ base
                    - loop.matrix(t - FD_STEP) @ base) / (2 * FD_STEP)
         assert np.max(np.abs(field - witness)) <= 1e-6
-
-
-def test_unitary_loop_rejects_bad_paths():
-    with pytest.raises(ValueError, match="weight count"):
-        UnitaryLoop(3, weights=(1, 2))
 
 
 # ------------------------------------------------------- symplectic pullback
@@ -325,7 +318,7 @@ def test_pullback_identity_map():
 
 def test_pullback_diagonal_unitary():
     p = params_n2(rho=0.4)
-    loop = UnitaryLoop.diagonal((1, 2))
+    loop = UnitaryLoop((1, 2))
     result = symplectic_pullback_check(lambda z: loop.matrix(0.3) @ z, p,
                                        grid=500, seed=2)
     assert result.passed
@@ -344,7 +337,7 @@ def test_pullback_detects_antiholomorphic_shear():
 def test_pullback_standard_form_on_explicit_grid():
     p = params_n2(rho=0.4)
     pts = np.array([[0.3 + 0.1j, 0.2j], [0.5, 0.1 - 0.2j]])
-    loop = UnitaryLoop.diagonal((2, 1))
+    loop = UnitaryLoop((2, 1))
     result = symplectic_pullback_check(lambda z: loop.matrix(0.7) @ z, p,
                                        reference_form="standard", grid=pts)
     assert result.samples == 2
@@ -413,14 +406,14 @@ def test_pullback_rejects_unknown_form():
 
 def test_vector_field_relation_identity_loop():
     p = params_n2(rho=0.4)
-    result = vector_field_relation_check(UnitaryLoop.diagonal((0, 0)), p,
+    result = vector_field_relation_check(UnitaryLoop((0, 0)), p,
                                          samples=50, seed=4)
     assert result.max_deviation <= 1e-12
 
 
 def test_vector_field_relation_diagonal_loop():
     p = params_n2(rho=0.4)
-    result = vector_field_relation_check(UnitaryLoop.diagonal((1, 0)), p,
+    result = vector_field_relation_check(UnitaryLoop((1, 0)), p,
                                          samples=200, seed=4)
     assert result.passed
     assert result.max_deviation <= 1e-6
@@ -445,24 +438,10 @@ def radially_scaled_field(monkeypatch, factor):
 def test_vector_field_relation_detects_scaled_field(monkeypatch):
     p = params_n2(rho=0.4)
     radially_scaled_field(monkeypatch, lambda radii: 1.0 + radii)
-    result = vector_field_relation_check(UnitaryLoop.diagonal((1, 0)), p,
+    result = vector_field_relation_check(UnitaryLoop((1, 0)), p,
                                          samples=200, seed=4)
     assert result.max_deviation > 0.1
     assert not result.passed
-
-
-def test_unitary_loop_batched_matches_pointwise():
-    loop = UnitaryLoop.diagonal((1, 3))
-    rng = np.random.default_rng(8)
-    times = rng.random(5)
-    points = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
-    stacked = loop.matrix(times)
-    fields = loop.vector_field(points)
-    for t, z, matrix, field in zip(times, points, stacked, fields):
-        assert np.array_equal(loop.matrix(t), matrix)
-        assert np.array_equal(loop.vector_field(z), field)
-    assert stacked.shape == (5, 2, 2)
-    assert np.array_equal(loop.matrix(times.reshape(5, 1))[:, 0], stacked)
 
 
 # ------------------------------------------- kernel against the complex one
@@ -629,12 +608,18 @@ def assert_fails_closed(result):
 
 
 @pytest.mark.parametrize("h", [
-    lambda z: math.nan,
+    lambda points: np.full(len(points), math.nan),
     LocalHamiltonian(weights=(1, 2), c=math.nan),
 ])
-def test_s1_invariance_nan_hamiltonian_fails(h):
-    assert_fails_closed(s1_invariance_check(h, samples=50, seed=1,
-                                            params=params_n2()))
+def test_s1_invariance_nan_hamiltonian_fails(h, monkeypatch):
+    if not isinstance(h, LocalHamiltonian):
+        # a Hamiltonian whose every value is NaN
+        nan_values = h
+        monkeypatch.setattr(LocalHamiltonian, "values",
+                            lambda self, points: nan_values(points))
+        h = LocalHamiltonian(weights=(1, 2))
+    assert_fails_closed(s1_invariance_check(h, params_n2(), samples=50,
+                                            seed=1))
 
 
 def test_divisor_continuity_nan_hamiltonian_fails():
@@ -667,7 +652,7 @@ def test_pullback_nan_conjugation_gap_fails():
 
 def test_vector_field_relation_nan_scale_fails(monkeypatch):
     radially_scaled_field(monkeypatch, lambda radii: radii * math.nan)
-    result = vector_field_relation_check(UnitaryLoop.diagonal((1, 0)),
+    result = vector_field_relation_check(UnitaryLoop((1, 0)),
                                          params_n2(rho=0.4), samples=40,
                                          seed=4)
     assert_fails_closed(result)

@@ -329,7 +329,7 @@ def test_monte_carlo_pullback_matches_closed_form_determinant(n, seed):
         # H o F = -pi beta^2 q + c on the same radii and direction moments
         value, slope = beta_profile(radii, params)
         dets = slope * (value / radii) ** (2 * n - 1)
-        return (-math.pi * value * value * moments + h.constant()) * dets
+        return (-math.pi * value * value * moments + h.c) * dets
 
     exact = quadrature._monte_carlo(closed_form_pullback, h.weights,
                                     params.r, None, seed)
