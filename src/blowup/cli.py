@@ -32,7 +32,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -50,6 +49,7 @@ from .local_model import (
 )
 from .period import class_order
 from .quadrature import (
+    _product_bound,
     _relative_deviation,
     integrate_ball,
     verify_annulus_pushforward,
@@ -305,39 +305,22 @@ def _beta_invariants_check(params):
                        max_deviation=float(deviation), tolerance=1e-12)
 
 
-def _require_float_range(loop, params):
-    """Refuse a loop whose Hamiltonian on the r-ball overflows a float.
+def _float_hamiltonian(loop, params):
+    """The loop's Hamiltonian in floats, refused where it overflows.
 
-    The numerical checks read the weights and C as floats and evaluate H
-    at radii up to r, where |H| <= pi*r^2*max|w_j| + |C|; that bound must
-    be finite too, since pi*r^2 alone being finite does not bound H.
+    Every check evaluates H at radii up to r, where |H| <= h.bound(r),
+    which must be finite even where pi*r^2 is.
     """
     try:
-        weights = [abs(float(value)) for value in loop.weights]
-        size = math.pi * params.r * params.r * max(weights) + abs(
-            float(loop.C))
+        h = LocalHamiltonian(weights=loop.weights, c=float(loop.C))
+        size = h.bound(params.r)
     except OverflowError:
         raise ManifestError("loop '%s': weights and C must fit in a float "
                             "for verify" % loop.name) from None
     if not math.isfinite(size):
         raise ManifestError("loop '%s': pi*r^2*max|w| + |C| must fit in a "
                             "float for verify" % loop.name)
-
-
-def _require_ball_integral_range(loop, manifold, radius):
-    """Refuse a loop whose ball integral out to radius overflows a float.
-
-    The closed form -K t^(n+1)/(n+1)! + C t^n is checked term by term at
-    t = pi*radius^2, since the two terms can cancel where each overflows.
-    """
-    t = Fraction(math.pi * radius * radius)
-    try:
-        for power, coefficient in enumerate(
-                ball_integral_closed_form(loop, manifold).num.coeffs):
-            float(coefficient * t ** power)
-    except OverflowError:
-        raise ManifestError("loop '%s': its ball integral does not fit in a "
-                            "float" % loop.name) from None
+    return h
 
 
 def _verify_rows(manifest, params, which):
@@ -347,12 +330,7 @@ def _verify_rows(manifest, params, which):
     if which in ("beta", "all"):
         rows.append(_beta_invariants_check(params))
     for loop in loops:
-        _require_float_range(loop, params)
-        if which in ("integrals", "all"):
-            # the r-ball is the largest region any quadrature row integrates;
-            # refuse it before any check of this loop overflows on it
-            _require_ball_integral_range(loop, manifest.manifold, params.r)
-        h = LocalHamiltonian(weights=loop.weights, c=float(loop.C))
+        h = _float_hamiltonian(loop, params)
         unitary = UnitaryLoop(loop.weights)
         label = ":" + loop.name
         if which in ("s1", "all"):
@@ -373,6 +351,10 @@ def _verify_rows(manifest, params, which):
             row.check += label
             rows.append(row)
         if which in ("integrals", "all"):
+            # the rules multiply h.bound(r) by the sphere's area and r^(2n)
+            if not math.isfinite(_product_bound(h, params.n, params.r)):
+                raise ManifestError("loop '%s': its ball integral does not "
+                                    "fit in a float" % loop.name)
             quadratic = CircleLoopSpec(weights=loop.weights, C=0,
                                        name=loop.name)
             expected = eval_at(

@@ -51,7 +51,8 @@ in closed form, so no pullback differences the chart.  _jacobian calls
 its map twice, on all "+step" and then all "-step" copies of the rows,
 and returns a C-contiguous array, since the @ products of the checks
 round differently on a transposed view; it serves the chart checks,
-where the map is arbitrary and a finite difference is the witness.
+where the map is arbitrary and a finite difference is the witness, and
+the gradient of H in vector_field_relation_check.
 Checks run the kernel over all their seeded samples at once; a map
 given to symplectic_pullback_check as a callable of one point, not as
 an (n, n) complex matrix, goes through the row loop _rows.  Deviations
@@ -227,14 +228,15 @@ def _chart(coords, params):
 
 
 def _jacobian(real_map, coords):
-    """(N, 2n, 2n) central-difference Jacobians of a batched real map.
+    """(N, m, 2n) central-difference Jacobians of a batched real map.
 
-    real_map runs twice: once on all 2n "+step" copies of the rows, once on
-    all 2n "-step" copies, each stacked as one (2n*N, 2n) batch.  Every
-    entry is still rounded as (F(x + h e_k) - F(x - h e_k)) / (2h) of its
-    own row.  The differences are taken in place in a C-contiguous result,
-    because the @ products that callers form round differently on a
-    transposed view.
+    real_map takes (M, 2n) rows to (M, m) rows, m = 2n for a map of the
+    ball and m = 1 for a function.  It runs twice: once on all 2n "+step"
+    copies of the rows, once on all 2n "-step" copies, each stacked as one
+    (2n*N, 2n) batch.  Every entry is still rounded as (F(x + h e_k) -
+    F(x - h e_k)) / (2h) of its own row.  The differences are taken in
+    place in a C-contiguous result, because the @ products that callers
+    form round differently on a transposed view.
     """
     count, dim = coords.shape
     bumps = np.eye(dim) * FD_STEP
@@ -242,10 +244,9 @@ def _jacobian(real_map, coords):
     def bumped(op):
         # values[k, i, j] is component j of the map at row i bumped in k
         values = real_map(op(coords[None], bumps[:, None]).reshape(-1, dim))
-        return values.reshape(dim, count, dim).transpose(1, 2, 0)
+        return values.reshape(dim, count, -1).transpose(1, 2, 0)
 
-    jac = np.empty((count, dim, dim))
-    jac[...] = bumped(np.add)
+    jac = np.ascontiguousarray(bumped(np.add))
     jac -= bumped(np.subtract)
     jac /= 2 * FD_STEP
     return jac
@@ -303,6 +304,11 @@ class LocalHamiltonian:
     @property
     def weight_sum(self):
         return sum(self.weights)
+
+    def bound(self, radius):
+        """pi radius^2 max|m_j| + |c|, which bounds |H| on the radius-ball."""
+        return (math.pi * radius * radius * max(abs(m) for m in self.weights)
+                + abs(self.c))
 
     def values(self, points):
         """H on each row of an (N, n) complex array."""
@@ -520,7 +526,7 @@ def symplectic_pullback_check(map_fn, params, reference_form="blowup",
 
 
 def vector_field_relation_check(loop, params, samples=200, seed=0):
-    """Compatibility of a loop's velocity field with the blow-down chart map.
+    """A loop's velocity field against the chart map and its Hamiltonian.
 
     The lifted loop acts in the chart by the same unitary matrices, so its
     velocity field X~ at z must push forward through F to the base field
@@ -529,6 +535,10 @@ def vector_field_relation_check(loop, params, samples=200, seed=0):
     correction appears; equivalently the right side is beta(|z|) times the
     base field at the unit direction.  Both fields are the loop's closed
     form, DF a central finite difference: the witness for the chart map.
+    A constant factor on the field passes that, so the row is the larger
+    of its gap and the field's gap from the symplectic gradient (-dH/dy,
+    dH/dx) of H = -pi sum m_j |z_j|^2, differenced centrally at the same
+    samples; extras holds both, "pushforward" and "hamiltonian".
 
     Samples stay at radius >= r/10, where the finite-difference error of
     DF is far below the 1e-6 tolerance.
@@ -539,12 +549,20 @@ def vector_field_relation_check(loop, params, samples=200, seed=0):
     # one call serves both the chart points and their images
     fields = loop.vector_field(_complexify(np.stack([coords, chart(coords)])))
     push = _jacobian(chart, coords) @ _realify(fields[0])[..., None]
-    gaps = np.abs(push[..., 0] - _realify(fields[1]))
+    h = LocalHamiltonian(loop.weights)
+    grad = _jacobian(lambda x: h.values(_complexify(x))[:, None], coords)
+    # the gradient row times J is (-dH/dy_j, dH/dx_j) per coordinate
+    J = np.kron(np.eye(params.n), [[0.0, 1.0], [-1.0, 0.0]])
+    gaps = {"pushforward": push[..., 0] - _realify(fields[1]),
+            "hamiltonian": (grad @ J)[:, 0] - _realify(fields[0])}
+    extras = {key: float(np.max(np.abs(gap), initial=0.0))
+              for key, gap in gaps.items()}
     return CheckResult(
         check="vector-field-relation",
         samples=samples,
-        max_deviation=float(np.max(gaps, initial=0.0)),
+        max_deviation=float(np.max(list(extras.values()))),
         tolerance=1e-6,
+        extras=extras,
     )
 
 

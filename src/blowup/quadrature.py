@@ -12,16 +12,16 @@ of the circle-type Hamiltonians H = -pi sum m_j |z_j|^2 + c: at a point
 s*u with |u| = 1, H is -pi s^2 q + c with q = sum m_j |u_j|^2 the
 weighted moment of the direction (_sphere_values).  product-gauss
 replaces q by its sphere average K/n, K the weight sum, so the whole
-integral collapses to a one-dimensional radial Gauss-Legendre rule that
-is exact for these polynomial integrands.  monte-carlo samples the
-region itself, a ball or an annulus, so no draw is rejected, and hands
-each integrand the radii and moments of uniform points without forming
-them (_shell_moments): n exponentials give the squared moduli of a
-uniform direction, one uniform its radius.  A fixed seed and
-deterministic block partitioning keep results bit-stable, and one
-sampling loop serves every region.  For a square-integrable integrand
-its default count never has a larger standard error than the 200k cube
-draws it replaced (_default_samples).
+integral collapses to a one-dimensional radial Gauss-Legendre rule of
+GAUSS_ORDER nodes per panel that is exact for these polynomial
+integrands.  monte-carlo samples the region itself, a ball or an
+annulus, so no draw is rejected, and hands each integrand the radii and
+moments of uniform points without forming them (_shell_moments): n
+exponentials give the squared moduli of a uniform direction, one
+uniform its radius.  A fixed seed and deterministic block partitioning
+keep results bit-stable, and one sampling loop serves every region.
+For a square-integrable integrand its default count never has a larger
+standard error than the 200k cube draws it replaced (_default_samples).
 
 The pushforward checks integrate the same Hamiltonian twice: once on the
 annulus directly and once pulled back through the radial chart map,
@@ -42,9 +42,9 @@ beta' beta^(2n-1), which is s^(2n-1) det DF and stays below r^(2n-1)
 where det DF itself overflows (near the origin at n = 60), and caches it
 per chart and order.  Radii below 1e-8 r are skipped and counted, a
 threshold that scales with the model.  Each deviation is relative to the
-right side, floored at 1e-12 of the integrand's size times the region's
-volume (_relative_deviation).  The profile, its slope and the moment
-draw are the shared kernel of local_model.py.
+right side, floored at 1e-12 of the integrand's size, h.bound(radius),
+times the region's volume (_relative_deviation).  The profile, its
+slope and the moment draw are the shared kernel of local_model.py.
 """
 
 from __future__ import annotations
@@ -184,16 +184,30 @@ def _relative_deviation(value, reference, h, radius, inner=0.0):
     """|value - reference| relative to |reference|, with a relative floor.
 
     The floor is 1e-12 of the integrand's size on the region inner <= |z|
-    <= radius, pi*radius^2*max|m_j| + |c|, times the region's volume, so
+    <= radius, h.bound(radius), times the region's volume, so
     it scales with the integral it guards.  An absolute floor swallows an
     integral that is small only because its region is, as the unit ball's
     is from n ~ 30 on.  The least positive float keeps H = 0 from dividing
     zero by zero.
     """
-    size = (math.pi * radius * radius * max(abs(m) for m in h.weights)
-            + abs(h.c))
-    floor = 1e-12 * size * _shell_volume(len(h.weights), radius, inner)
+    floor = 1e-12 * h.bound(radius) * _shell_volume(len(h.weights), radius,
+                                                    inner)
     return abs(value - reference) / max(abs(reference), floor, math.ulp(0.0))
+
+
+def _product_bound(h, n, radius):
+    """Bound on every product product-gauss forms on the radius-ball, or inf.
+
+    The rules multiply h.bound(radius), the sphere's area or pi^n/n!, and
+    radial powers up to radius^(2n), in varying orders, and add up to four
+    such terms; each factor floored at 1 bounds every partial product.
+    """
+    try:
+        return (4.0 * max(h.bound(radius), 1.0)
+                * max(_sphere_area(n), _shell_volume(n, 1.0), 1.0)
+                * max(radius, 1.0) ** (2 * n))
+    except OverflowError:
+        return math.inf
 
 
 def _default_samples(n):

@@ -284,6 +284,49 @@ def test_verify_at_n_60_is_finite_and_passes(tmp_path, capsys):
                for row in rows)
 
 
+@pytest.mark.parametrize("n", [2, 30, 100])
+@pytest.mark.parametrize("factor", [0.999, 1.001])
+def test_verify_integrals_near_the_float_limit_end_cleanly(tmp_path, capsys,
+                                                           n, factor):
+    # r^(2n) is just below or just above the largest float; the product-
+    # gauss rules multiply it with |H| and the sphere's area in several
+    # orders, so a check of one closed form cannot tell whether they fit
+    r = factor * sys.float_info.max ** (1 / (2 * n))
+    payload = base_manifest()
+    payload["manifold"]["n"] = n
+    payload["loops"] = [{"name": "ones", "weights": [1] * n, "C": "0"}]
+    payload["local_model"] = {"rho": r / 40, "delta": r / 40, "r": r}
+    path = write_manifest(tmp_path, payload)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status = cli.main(["verify", path, "--check", "integrals"])
+    captured = capsys.readouterr()
+    if status == 2:
+        assert_one_error_line(captured)
+    else:
+        assert status == 0 and captured.err == ""
+        rows = json.loads(captured.out.splitlines()[-1])
+        assert all(math.isfinite(row["max_deviation"]) for row in rows)
+
+
+def test_verify_refuses_a_constant_that_overflows_the_quadrature(tmp_path,
+                                                                 capsys):
+    # |C| t^n fits at r = 0.5, |C| times the sphere's area (31 at n = 3)
+    # does not: the integral rows used to read inf with a warning
+    payload = base_manifest()
+    payload["manifold"]["n"] = 3
+    payload["loops"] = [{"name": "big", "weights": [1, 1, 1],
+                         "C": "1" + "0" * 307}]
+    payload["local_model"] = {"rho": 0.1, "delta": 0.1, "r": 0.5}
+    path = write_manifest(tmp_path, payload)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["verify", path, "--check", "integrals"]) == 2
+    captured = capsys.readouterr()
+    assert_one_error_line(captured)
+    assert "ball integral does not fit in a float" in captured.err
+
+
 @pytest.mark.parametrize("k", [-20, -10, 0, 10, 20])
 def test_verify_integrals_pass_at_every_dilation(tmp_path, capsys, k):
     # (rho, delta, r) -> 2^k (rho, delta, r) with C -> 4^k C is an exact

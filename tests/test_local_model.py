@@ -247,6 +247,18 @@ def test_constant_is_a_float_converted_once():
     assert math.isnan(LocalHamiltonian(weights=(1,), c=math.nan).c)
 
 
+def test_bound_covers_the_hamiltonian_on_the_ball():
+    h = LocalHamiltonian(weights=(1, -3), c=-0.5)
+    assert h.bound(2.0) == math.pi * 4.0 * 3 + 0.5
+    # the sphere of radius 2, where |H| is largest
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal((500, 2)) + 1j * rng.standard_normal((500, 2))
+    z *= 2.0 / np.linalg.norm(z, axis=1, keepdims=True)
+    assert np.max(np.abs(h.values(z))) <= h.bound(2.0)
+    with pytest.raises(OverflowError):
+        LocalHamiltonian(weights=(10 ** 400, 1)).bound(1.0)
+
+
 def test_divisor_continuity():
     p = params_n2(rho=0.3)
     h = LocalHamiltonian(weights=(1, 2), c=0.25)
@@ -433,6 +445,26 @@ def radially_scaled_field(monkeypatch, factor):
         return exact(self, z) * factor(radii)
 
     monkeypatch.setattr(UnitaryLoop, "vector_field", scaled)
+
+
+@pytest.mark.parametrize("factor", [1.1, -1.0])
+def test_vector_field_relation_ties_the_field_to_its_hamiltonian(
+        monkeypatch, factor):
+    # a constant factor commutes with the chart, so only the comparison
+    # with the symplectic gradient of -pi sum m_j |z_j|^2 can see it
+    exact = UnitaryLoop.vector_field
+    p = params_n2(rho=0.4)
+    loop = UnitaryLoop((1, 2))
+    result = vector_field_relation_check(loop, p, samples=120, seed=0)
+    assert result.passed
+    assert result.extras["hamiltonian"] <= 1e-9
+    monkeypatch.setattr(UnitaryLoop, "vector_field",
+                        lambda self, z: factor * exact(self, z))
+    result = vector_field_relation_check(loop, p, samples=120, seed=0)
+    assert result.extras["pushforward"] <= 1e-8
+    assert result.extras["hamiltonian"] > 0.1
+    assert result.max_deviation == result.extras["hamiltonian"]
+    assert not result.passed
 
 
 def test_vector_field_relation_detects_scaled_field(monkeypatch):
