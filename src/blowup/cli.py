@@ -194,7 +194,11 @@ def load_manifest(path):
         if not isinstance(weights, list) or len(weights) != n:
             raise ManifestError("%s.weights must list %d integers"
                                 % (where, n))
-        weights = tuple(_as_int(m, "%s.weights" % where) for m in weights)
+        weights = tuple(weights)
+        if not all(type(m) is int for m in weights):
+            # the label is formatted only for a weight that fails
+            for m in weights:
+                _as_int(m, "%s.weights" % where)
         loops.append(CircleLoopSpec(
             weights=weights,
             C=_as_rational(entry["C"], "%s.C" % where),

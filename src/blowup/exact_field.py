@@ -408,7 +408,7 @@ def eval_exact(x, tau0):
 
 # -- textual form ------------------------------------------------------------
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"^([+-]?)(\d+)(?:/(\d+))?$")
 # parse_taurat stores polynomials densely, so a larger exponent would
 # allocate that many coefficients before any check could refuse it.
 MAX_PARSE_DEGREE = 10_000
@@ -422,13 +422,22 @@ def format_rational(value):
 
 
 def parse_rational(text):
-    s = text.strip()
-    if not _RATIONAL_RE.match(s):
+    """The Fraction written "p/q" or "p", with an optional sign and
+    surrounding whitespace.
+
+    The match groups give the integers directly, numerator digits before
+    denominator digits as Fraction(str) reads them, so a literal past the
+    interpreter's int-to-string digit limit fails with the same ValueError.
+    """
+    match = _RATIONAL_RE.match(text.strip())
+    if match is None:
         raise ValueError("not a rational literal: %r" % (text,))
-    try:
-        return Fraction(s)
-    except ZeroDivisionError:
-        raise ValueError("zero denominator in %r" % (text,)) from None
+    sign, num, den = match.groups()
+    numerator = int(num)
+    denominator = int(den) if den is not None else 1
+    if denominator == 0:
+        raise ValueError("zero denominator in %r" % (text,))
+    return Fraction(-numerator if sign == "-" else numerator, denominator)
 
 
 def _joint_integer_coeffs(num, den):

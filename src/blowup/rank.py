@@ -23,6 +23,11 @@ It is computed as a saturated lattice basis via unimodular column
 reduction (Hermite form), never by scaling a rational basis vector by a
 denominator: scaled vectors can span a proper sublattice when the nullity
 exceeds one, and a certificate must contain every integer relation.
+The basis stays sparse from the reduction to the printed line: each
+relation is a tuple of its nonzero (index, value) pairs, and the dense
+k-vectors of RankCertificate.kernel_basis are derived from them on
+request.  Whether the base orders are pairwise coprime is decided in one
+pass over them, not over all pairs: their product equals their lcm.
 
 A structural consequence worth stating up front: every lifted value lies
 in the two-dimensional rational span of V/(V - t^n) and t^(n+1)/(V - t^n),
@@ -40,7 +45,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 # Unused here; perfbench's tracer self-test asserts it is wrapped in this module.
-from .weinstein import circle_loop_order, lift_value_circle  # noqa: F401
+from .weinstein import lift_value_circle  # noqa: F401
 
 __all__ = [
     "RankCertificate",
@@ -64,6 +69,12 @@ def integer_kernel(rows):
     unimodular columns start as unit vectors and are kept as sparse
     {row: value} dicts, so adding a multiple of one column to another
     touches only its nonzero entries rather than all k rows.
+
+    Each basis vector comes back sparse, as a tuple of (index, value)
+    pairs in index order holding only the nonzero entries, with its sign
+    chosen so that the first entry is positive.  No dense k-vector is
+    built: a kernel of a 2 x k matrix has k - 2 or more vectors, and most
+    of their k entries are zero.
     """
     if not rows:
         raise ValueError("matrix needs at least one row")
@@ -108,20 +119,22 @@ def integer_kernel(rows):
         pivot_col += 1
     basis = []
     for column in unimod[pivot_col:]:
+        indices = sorted(column)
         # first nonzero entry positive, so the printed basis is stable
-        sign = -1 if column[min(column)] < 0 else 1
-        vector = [0] * k
-        for i, v in column.items():
-            vector[i] = sign * v
-        basis.append(tuple(vector))
+        sign = -1 if column[indices[0]] < 0 else 1
+        basis.append(tuple((i, sign * column[i]) for i in indices))
     return basis
 
 
 @dataclass(frozen=True)
 class RankCertificate:
-    """Exact relation lattice among lifted classes, with the rank it leaves."""
+    """Exact relation lattice among lifted classes, with the rank it leaves.
 
-    kernel_basis: tuple
+    relations holds the kernel basis sparse, as integer_kernel returns it:
+    one tuple of (index, value) pairs per relation, nonzero entries only.
+    """
+
+    relations: tuple
     orders: tuple
     weight_sums: tuple
     reduction: tuple  # the two rational rows (C_j/a) and (K_j)
@@ -135,22 +148,39 @@ class RankCertificate:
 
     @property
     def rank(self):
-        return self.k - len(self.kernel_basis)
+        return self.k - len(self.relations)
+
+    @property
+    def kernel_basis(self):
+        """The relations as dense k-tuples of integers."""
+        zeros = [0] * self.k
+        basis = []
+        for relation in self.relations:
+            vector = zeros.copy()
+            for i, v in relation:
+                vector[i] = v
+            basis.append(tuple(vector))
+        return tuple(basis)
 
     def report(self):
         """The relation line, then the certificate behind it.
 
-        The relation line lists every kernel vector; zero entries, most of
-        them once k is large, reuse one "0" rather than a str() call each.
-        The note on coprime orders claims every relation coefficient is a
-        non-unit, so it is printed only when no generator is expressible
-        through the others.
+        The relation line lists every kernel vector.  Each relation is
+        written onto a copy of one row of "0" strings, so only its nonzero
+        entries, few of them once k is large, cost a str() call.  The note
+        on coprime orders claims every relation coefficient is a non-unit,
+        so it is printed only when no generator is expressible through the
+        others.
         """
-        if self.kernel_basis:
-            relations = "; ".join(
-                "(%s)" % ",".join([str(c) if c else "0" for c in vector])
-                for vector in self.kernel_basis)
-            first = "rank %d, kernel basis %s" % (self.rank, relations)
+        if self.relations:
+            zeros = ["0"] * self.k
+            rendered = []
+            for relation in self.relations:
+                row = zeros.copy()
+                for i, v in relation:
+                    row[i] = str(v)
+                rendered.append("(%s)" % ",".join(row))
+            first = "rank %d, kernel basis %s" % (self.rank, "; ".join(rendered))
         else:
             first = "rank %d, kernel trivial" % self.rank
         lines = [
@@ -166,7 +196,7 @@ class RankCertificate:
         else:
             dependent = [i for i, ok in enumerate(self.generators_independent) if not ok]
             lines.append("generators expressible through the others: %s" % (dependent,))
-        if (self.orders_pairwise_coprime and self.kernel_basis
+        if (self.orders_pairwise_coprime and self.relations
                 and all(self.generators_independent)):
             lines.append("note: orders are pairwise coprime, yet relations with "
                          "non-unit coefficients exist; the lifted values span a "
@@ -182,7 +212,12 @@ class RankCertificate:
 
 
 def relation_kernel(loops, manifold):
-    """Exact kernel of c -> sum_j c_j * [lift_j] over the blow-up lattice."""
+    """Exact kernel of c -> sum_j c_j * [lift_j] over the blow-up lattice.
+
+    C_j/a is formed once per loop: its denominator is the order n_j of the
+    base class, and with L the lcm of the orders its numerator times
+    L // n_j is the integer entry of the scaled first row.
+    """
     if not loops:
         raise ValueError("need at least one loop")
     if manifold.a == 0:
@@ -191,40 +226,58 @@ def relation_kernel(loops, manifold):
         raise ValueError("ambient half-dimension must be at least 2")
     for loop in loops:
         manifold.check_loop(loop)
-    orders = tuple(circle_loop_order(loop, manifold) for loop in loops)
+    a = manifold.a
+    base_row = tuple(loop.C / a for loop in loops)
+    orders = tuple(f.denominator for f in base_row)
     weight_sums = tuple(loop.weight_sum for loop in loops)
-    base_row = tuple(loop.C / manifold.a for loop in loops)
-    scale = math.lcm(*(f.denominator for f in base_row))
+    scale = math.lcm(*orders)
     int_rows = [
-        [int(f * scale) for f in base_row],
-        [int(w) for w in weight_sums],
+        [f.numerator * (scale // f.denominator) for f in base_row],
+        list(weight_sums),
     ]
-    basis = integer_kernel(int_rows)
-    k = len(loops)
-    coprime = all(
-        math.gcd(orders[i], orders[j]) == 1
-        for i in range(k) for j in range(i + 1, k)
-    )
+    relations = tuple(integer_kernel(int_rows))
     return RankCertificate(
-        kernel_basis=tuple(basis),
+        relations=relations,
         orders=orders,
         weight_sums=weight_sums,
         reduction=(base_row, tuple(Fraction(w) for w in weight_sums)),
-        orders_pairwise_coprime=coprime,
-        generators_independent=_independence_flags(basis, k),
+        orders_pairwise_coprime=_pairwise_coprime(orders, scale),
+        generators_independent=_independence_flags(relations, len(loops)),
     )
 
 
-def _independence_flags(basis, k):
+def _pairwise_coprime(orders, lcm):
+    """True when no two of the positive orders share a factor.
+
+    The product of positive integers is at least their lcm, with equality
+    exactly when no two of them share a factor.  One pass multiplies the
+    orders up and stops once the running product passes the lcm, which
+    the caller has already formed to scale the first row: no gcd at all,
+    where the pairwise definition takes k(k-1)/2 of them and never stops
+    early when every order is 1.
+    """
+    product = 1
+    for n in orders:
+        product *= n
+        if product > lcm:
+            return False
+    return product == lcm
+
+
+def _independence_flags(relations, k):
     """Per generator: True when no relation carries coefficient +-1 there.
 
     The r-th coordinates of the kernel lattice form a subgroup d*Z of Z;
     a relation expressing generator r through the others exists exactly
-    when d = 1.  gcd ignores zeros and signs, and an all-zero coordinate
-    gives d = 0.
+    when d = 1.  d is the gcd of the nonzero entries at r over the sparse
+    relations; gcd ignores signs, and a coordinate that no relation
+    touches gives d = 0.
     """
-    columns = zip(*basis) if basis else [()] * k
-    return tuple(math.gcd(*coords) != 1 for coords in columns)
+    gcds = [0] * k
+    for relation in relations:
+        for i, v in relation:
+            gcds[i] = math.gcd(gcds[i], v)
+    return tuple(d != 1 for d in gcds)
 
 
 def certify_rank(loops, manifold):

@@ -49,8 +49,12 @@ class CircleLoopSpec:
     name: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(int(m) for m in self.weights))
-        object.__setattr__(self, "C", Fraction(self.C))
+        # a tuple of ints and a Fraction, as a manifest gives them, are kept
+        weights = self.weights
+        if type(weights) is not tuple or not all(type(m) is int for m in weights):
+            object.__setattr__(self, "weights", tuple(int(m) for m in weights))
+        if type(self.C) is not Fraction:
+            object.__setattr__(self, "C", Fraction(self.C))
 
     @property
     def weight_sum(self):

@@ -486,6 +486,19 @@ def test_unparsable_json_leaf_exits_2(tmp_path, capsys, leaf, command):
     assert_one_error_line(capsys.readouterr())
 
 
+@pytest.mark.parametrize("command", ["lift", "rank"])
+def test_rational_past_the_digit_limit_exits_2(tmp_path, capsys, command):
+    # a valid literal, but int() refuses strings of more than 4,300 digits
+    payload = base_manifest()
+    payload["loops"][0]["C"] = "7" * 5_000
+    path = write_manifest(tmp_path, payload)
+    argv = [command, path] + (["--loop", "main"] if command == "lift" else [])
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert_one_error_line(captured)
+    assert captured.err.startswith("error: loops[0].C: ")
+
+
 @pytest.mark.parametrize("check", ("all",) + cli.VERIFY_GROUPS)
 def test_verify_rejects_radius_whose_area_overflows(tmp_path, capsys, check):
     # a valid profile, but pi*r^2 is past the float range

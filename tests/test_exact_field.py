@@ -1,5 +1,6 @@
 """Exact arithmetic in Q(t): canonical forms, lattice membership, evaluation."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -269,3 +270,61 @@ def test_rational_strings():
         parse_rational("1.5")
     with pytest.raises(ValueError, match="zero denominator"):
         parse_rational("3/0")
+
+
+_OLD_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+
+
+def old_parse_rational(text):
+    """The parser as it was: its regex, then Fraction(str) on the match."""
+    s = text.strip()
+    if not _OLD_RATIONAL_RE.match(s):
+        raise ValueError("not a rational literal: %r" % (text,))
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % (text,)) from None
+
+
+def parse_outcome(parse, text):
+    try:
+        value = parse(text)
+    except ValueError as exc:
+        return "ValueError: %s" % exc
+    assert type(value) is Fraction
+    return value
+
+
+# ASCII digits, Arabic-Indic three, fullwidth zero, double-struck one; then
+# superscript two and an underscore, which \d and int() both refuse
+_DIGITS = "0123456789\u0663\uff10\U0001d7d9"
+_NOT_DIGITS = "\u00b2_."
+_SPACE = st.sampled_from(["", " ", "\t", "\n ", "\u3000", "\xa0"])
+_SIGN = st.sampled_from(["", "+", "-", "--", "+-"])
+_DIGIT_RUN = st.text(alphabet=_DIGITS + _NOT_DIGITS, max_size=6)
+_LITERALS = st.one_of(
+    st.text(max_size=12),
+    st.text(alphabet=_DIGITS + "+-/ ", max_size=12),
+    st.builds(lambda lead, sign, num, den, trail: lead + sign + num + den + trail,
+              _SPACE, _SIGN, _DIGIT_RUN,
+              st.one_of(st.just(""), st.just("/"), _DIGIT_RUN.map("/".__add__)),
+              _SPACE),
+    # around int()'s 4,300-digit limit, in either part
+    st.builds(lambda sign, digit, count, den: sign + digit * count + den,
+              _SIGN, st.sampled_from("07\u0663"),
+              st.integers(min_value=4_290, max_value=4_310),
+              st.sampled_from(["", "/3", "/0", "/" + "9" * 5_000])),
+)
+
+
+@given(_LITERALS)
+@example("")
+@example("/")
+@example("   ")
+@example("0007/0004")
+@example(" -12/0 ")
+@example("3/" + "1" * 5_000)
+@example("1" * 5_000 + "/0")
+@settings(max_examples=300)
+def test_parse_rational_matches_the_regex_and_fraction_parser(text):
+    assert parse_outcome(parse_rational, text) == parse_outcome(old_parse_rational, text)

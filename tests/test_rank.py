@@ -2,16 +2,18 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blowup.exact_field import membership_in_lattice
 from blowup.period import class_order
 from blowup.rank import (
+    _pairwise_coprime,
     certify_rank,
     integer_kernel,
     lemma_num_check,
@@ -76,8 +78,19 @@ def in_lattice(vector, basis):
     return all(v.denominator == 1 for v in solution)
 
 
+def densify(basis, k):
+    """integer_kernel's sparse (index, value) vectors as dense k-tuples."""
+    dense = []
+    for pairs in basis:
+        vector = [0] * k
+        for i, v in pairs:
+            vector[i] = v
+        dense.append(tuple(vector))
+    return dense
+
+
 def test_integer_kernel_single_row():
-    basis = integer_kernel([[3, 2]])
+    basis = densify(integer_kernel([[3, 2]]), 2)
     assert len(basis) == 1
     assert basis[0] in ((2, -3), (-2, 3))
     assert 3 * basis[0][0] + 2 * basis[0][1] == 0
@@ -85,7 +98,7 @@ def test_integer_kernel_single_row():
 
 def test_integer_kernel_saturated_for_nullity_two():
     # (1, 1, 1) solves [2, -1, -1]; a gcd-scaled rational basis misses it
-    basis = integer_kernel([[2, -1, -1]])
+    basis = densify(integer_kernel([[2, -1, -1]]), 3)
     assert len(basis) == 2
     assert in_lattice((1, 1, 1), basis)
     for c in brute_force_kernel_members([[2, -1, -1]], 4):
@@ -93,7 +106,7 @@ def test_integer_kernel_saturated_for_nullity_two():
 
 
 def test_integer_kernel_zero_matrix():
-    basis = integer_kernel([[0, 0, 0]])
+    basis = densify(integer_kernel([[0, 0, 0]]), 3)
     assert len(basis) == 3
     for c in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
         assert in_lattice(c, basis)
@@ -154,7 +167,12 @@ def dense_integer_kernel(rows):
 )
 @settings(max_examples=80, deadline=None)
 def test_integer_kernel_matches_brute_force(rows):
-    basis = integer_kernel(rows)
+    sparse = integer_kernel(rows)
+    for pairs in sparse:
+        indices = [i for i, _ in pairs]
+        assert indices == sorted(set(indices))
+        assert all(v != 0 for _, v in pairs)
+    basis = densify(sparse, len(rows[0]))
     assert basis == dense_integer_kernel(rows)
     for vector in basis:
         assert first_nonzero_positive(vector)
@@ -252,6 +270,78 @@ def test_certify_rank_coprime_but_dependent_is_noted():
         assert certificate.orders_pairwise_coprime
         assert all(certificate.generators_independent) is noted
         assert ("non-unit coefficients" in certificate.report()) is noted
+
+
+def dense_relation_line(certificate):
+    """The relation line as report() wrote it from dense basis vectors."""
+    if certificate.kernel_basis:
+        relations = "; ".join(
+            "(%s)" % ",".join([str(c) if c else "0" for c in vector])
+            for vector in certificate.kernel_basis)
+        return "rank %d, kernel basis %s" % (certificate.rank, relations)
+    return "rank %d, kernel trivial" % certificate.rank
+
+
+@given(
+    st.integers(min_value=1, max_value=12).flatmap(lambda k: st.lists(
+        st.lists(st.integers(min_value=-6, max_value=6), min_size=k, max_size=k),
+        min_size=2,
+        max_size=2,
+    ))
+)
+@example(rows=[[0], [0]])
+@settings(max_examples=80, deadline=None)
+def test_sparse_relation_line_matches_dense_rendering(rows):
+    # C_j = rows[0][j] over a = 1 and K_j = rows[1][j], so the relation
+    # matrix is rows itself
+    loops = [CircleLoopSpec(weights=(w, 0), C=c) for c, w in zip(*rows)]
+    certificate = certify_rank(loops, M2)
+    k = len(rows[0])
+    assert list(certificate.kernel_basis) == densify(certificate.relations, k)
+    assert list(certificate.kernel_basis) == dense_integer_kernel(rows)
+    assert certificate.report().splitlines()[0] == dense_relation_line(certificate)
+    hash(certificate)
+
+
+def test_single_zero_column_prints_unit_relation():
+    certificate = certify_rank([CircleLoopSpec(weights=(0, 0), C=0)], M2)
+    assert certificate.relations == (((0, 1),),)
+    assert certificate.kernel_basis == ((1,),)
+    assert certificate.report().splitlines()[0] == "rank 0, kernel basis (1)"
+    assert hash(certificate) == hash(certify_rank(
+        [CircleLoopSpec(weights=(0, 0), C=0)], M2))
+
+
+def all_pairs_coprime(orders):
+    return all(math.gcd(orders[i], orders[j]) == 1
+               for i in range(len(orders)) for j in range(i + 1, len(orders)))
+
+
+@given(st.one_of(
+    st.lists(st.integers(min_value=1, max_value=60), max_size=12),
+    st.lists(st.sampled_from([1, 2, 3, 4, 5, 7, 9, 25, 49]), max_size=12),
+    st.lists(st.just(1), max_size=20),
+))
+@example(orders=[])
+@example(orders=[1, 1, 1])
+@example(orders=[7, 7])
+@example(orders=[2, 3, 5, 7, 11, 13, 2])
+@settings(max_examples=200)
+def test_pairwise_coprime_matches_all_pairs(orders):
+    assert _pairwise_coprime(orders, math.lcm(*orders)) == all_pairs_coprime(orders)
+    loops = [CircleLoopSpec(weights=(1, 0), C=Fraction(1, n)) for n in orders]
+    if loops:
+        certificate = relation_kernel(loops, M2)
+        assert certificate.orders == tuple(orders)
+        assert certificate.orders_pairwise_coprime == all_pairs_coprime(orders)
+
+
+def test_pairwise_coprime_of_many_unit_orders_is_one_pass():
+    # all pairs would be 5e9 gcds; one pass is 1e5 products
+    orders = (1,) * 100_000
+    start = time.perf_counter()
+    assert _pairwise_coprime(orders, math.lcm(*orders))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_relation_kernel_rejects_empty():
