@@ -20,12 +20,15 @@ or manifest error.  The verify command prints one text line per check and
 finishes with a single-line JSON array of rows
 {check, samples, max_deviation, tolerance, pass}.  A closed stdout pipe
 cuts the output short and nothing else: every command computes its exit
-code before its first print, and nothing goes to stderr.
+code before its first print, and nothing goes to stderr.  lift, order and
+rank render their whole output before printing it, so a result holding an
+integer past the int-to-string digit limit exits 2 with stdout empty.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -255,21 +258,40 @@ def _evaluate(value, rho):
                             % rho) from None
 
 
+@contextlib.contextmanager
+def _printable():
+    """Refuse a result that str() cannot write in decimal.
+
+    str() of an integer past the interpreter's int-to-string digit limit
+    raises ValueError; inside this block that becomes a manifest error.
+    The limit is never raised.  Commands render their whole output in the
+    block, before the first print, so such a result prints nothing.
+    """
+    try:
+        yield
+    except ValueError:
+        raise ManifestError(
+            "the result holds an integer of more than %d digits, past the "
+            "interpreter's int-to-string limit"
+            % sys.get_int_max_str_digits()) from None
+
+
 def cmd_lift(manifest, loop_name):
     loop = _lookup_loop(manifest, loop_name)
     value = lift_value_circle(loop, manifest.manifold)
     rho = _numeric_weight(manifest)
-    # evaluated before the first print, so an error there prints nothing
+    with _printable():
+        lines = [
+            "loop %s: weights %s, C = %s" % (loop.name, list(loop.weights), loop.C),
+            "base:    %s" % value.base_value,
+            "lifted:  %s" % value.lifted_value,
+            "lattice: Z<%s> + Z<t>" % manifest.manifold.a,
+        ]
     if rho is not None:
         tau0, base, lifted = _evaluate(value, rho)
-    print("loop %s: weights %s, C = %s"
-          % (loop.name, list(loop.weights), loop.C))
-    print("base:    %s" % value.base_value)
-    print("lifted:  %s" % value.lifted_value)
-    print("lattice: Z<%s> + Z<t>" % manifest.manifold.a)
-    if rho is not None:
-        print("at rho = %g (t = %.12g): base = %.12g, lifted = %.12g"
-              % (rho, tau0, base, lifted))
+        lines.append("at rho = %g (t = %.12g): base = %.12g, lifted = %.12g"
+                     % (rho, tau0, base, lifted))
+    print("\n".join(lines))
     return 0
 
 
@@ -278,21 +300,27 @@ def cmd_order(manifest, loop_name):
     base_order = circle_loop_order(loop, manifest.manifold)
     value = lift_value_circle(loop, manifest.manifold)
     lifted_order = class_order(value.lifted_class())
-    shown = "infinite" if lifted_order is None else str(lifted_order)
-    print("base order %s, lifted order %s" % (base_order, shown))
+    shown = "infinite" if lifted_order is None else lifted_order
+    with _printable():
+        lines = ["base order %s, lifted order %s" % (base_order, shown)]
     if lifted_order is None:
         reduced = value.lifted_value
-        print("certificate: the reduced value has numerator degree %d and "
-              "denominator degree %d; every nonzero integer multiple keeps "
-              "that shape, and the lattice only absorbs degree-one "
-              "polynomials" % (reduced.num.degree, reduced.den.degree))
+        lines.append("certificate: the reduced value has numerator degree %d "
+                     "and denominator degree %d; every nonzero integer "
+                     "multiple keeps that shape, and the lattice only absorbs "
+                     "degree-one polynomials"
+                     % (reduced.num.degree, reduced.den.degree))
+    print("\n".join(lines))
     return 0
 
 
 def cmd_rank(manifest):
     if not manifest.loops:
         raise ManifestError("rank needs at least one loop in the manifest")
-    print(certify_rank(manifest.loops, manifest.manifold).report())
+    certificate = certify_rank(manifest.loops, manifest.manifold)
+    with _printable():
+        report = certificate.report()
+    print(report)
     return 0
 
 

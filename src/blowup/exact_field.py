@@ -7,9 +7,13 @@ comparing coefficients of powers of t is a legitimate proof step.  No float
 ever enters this module except through eval_at.
 
 Representation invariants:
-  * TauPoly holds a dense tuple of Fraction coefficients, entry i being the
-    coefficient of t**i.  The highest-index entry is nonzero; the zero
-    polynomial holds the empty tuple.
+  * TauPoly holds a dense tuple of Python ints over one positive int
+    denominator: ints (a_0, ..., a_m) and den stand for sum_i a_i/den t**i.
+    gcd(den, a_0, ..., a_m) == 1 and a_m != 0; the zero polynomial is
+    ((), 1).  Every operation works on the ints and normalizes its result
+    with a single gcd, so no Fraction arises inside +, *, divmod or monic;
+    Fractions appear only in the constructor and the coeffs, coeff and
+    lead accessors.
   * TauRat holds a pair (num, den) of TauPoly in canonical form: num and den
     coprime, den monic.  Canonical forms are unique, so structural equality
     decides mathematical equality and values hash consistently.
@@ -41,68 +45,98 @@ __all__ = [
 
 
 class TauPoly:
-    """Dense univariate polynomial over Fraction in the indeterminate t."""
+    """Dense univariate polynomial over Q in the indeterminate t.
 
-    __slots__ = ("coeffs",)
+    Held as integer numerators over one positive integer denominator; the
+    Fraction coefficients exist only at the API edge (the constructor and
+    the coeffs, coeff and lead accessors).
+    """
+
+    __slots__ = ("_ints", "_den")
 
     def __init__(self, coeffs=()):
         cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs = tuple(cs)
+        # over the lcm of reduced denominators the numerators have no
+        # factor in common with it, so the pair is already canonical
+        den = math.lcm(*(c.denominator for c in cs))
+        self._ints = tuple(c.numerator * (den // c.denominator) for c in cs)
+        self._den = den
 
     @classmethod
     def monomial(cls, coeff, power):
         coeff = Fraction(coeff)
         if coeff == 0:
             return cls()
-        return cls((Fraction(0),) * power + (coeff,))
+        return _raw((0,) * power + (coeff.numerator,), coeff.denominator)
+
+    @property
+    def coeffs(self):
+        """The coefficients as Fractions, entry i for t**i."""
+        den = self._den
+        return tuple(Fraction(c, den) for c in self._ints)
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1  # zero polynomial has degree -1
+        return len(self._ints) - 1  # zero polynomial has degree -1
 
     @property
     def is_zero(self):
-        return not self.coeffs
+        return not self._ints
 
     @property
     def lead(self):
-        if not self.coeffs:
+        if not self._ints:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self._ints[-1], self._den)
 
     def coeff(self, i):
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+        if 0 <= i < len(self._ints):
+            return Fraction(self._ints[i], self._den)
+        return Fraction(0)
 
     def monic(self):
-        if self.is_zero or self.lead == 1:
+        ints = self._ints
+        if not ints or ints[-1] == self._den:
             return self
-        return self * (Fraction(1) / self.lead)
+        # A/d divided by its leading coefficient A_m/d is A/A_m
+        return _canonical(list(ints), ints[-1])
 
     def evaluate(self, x):
-        """Horner evaluation; exact for Fraction x, floating for float x."""
-        result = 0
-        for c in reversed(self.coeffs):
-            result = result * x + c
-        return result
+        """Exact value at the rational x, as a Fraction."""
+        x = Fraction(x)
+        value, scale = _horner(self._ints, x.numerator, x.denominator)
+        return Fraction(value, self._den * scale)
 
     def __add__(self, other):
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, d = self._ints, self._den
+        b, e = other._ints, other._den
+        if not b:
+            return self
+        if not a:
+            return other
+        if d != e:  # bring both over lcm(d, e)
+            g = math.gcd(d, e)
+            if e != g:
+                a = [c * (e // g) for c in a]
+            if d != g:
+                b = [c * (d // g) for c in b]
+            d = d // g * e
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return TauPoly(out)
+        return _canonical(out, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TauPoly(tuple(-c for c in self.coeffs))
+        return _raw(tuple(-c for c in self._ints), self._den)
 
     def __sub__(self, other):
         other = _as_poly(other)
@@ -120,22 +154,23 @@ class TauPoly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero or other.is_zero:
+        a, b = self._ints, other._ints
+        if not a or not b:
             return TauPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return TauPoly(out)
+        terms = [(j, y) for j, y in enumerate(b) if y]
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in terms:
+                    out[i + j] += x * y
+        return _canonical(out, self._den * other._den)
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        result = TauPoly((Fraction(1),))
+        result = _raw((1,), 1)
         base = self
         while k:
             if k & 1:
@@ -148,56 +183,146 @@ class TauPoly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero")
-        nd, dd = self.degree, other.degree
-        if nd < dd:
-            return TauPoly(), self
-        dlead = other.lead
-        quo = [Fraction(0)] * (nd - dd + 1)
-        rem = list(self.coeffs)
-        for k in range(nd - dd, -1, -1):
-            c = rem[dd + k] / dlead
-            if c == 0:
-                continue
-            quo[k] = c
-            for i, oc in enumerate(other.coeffs):
-                rem[i + k] -= c * oc
-        return TauPoly(quo), TauPoly(rem)
+        return _divide(self, other, True)
 
     def __floordiv__(self, other):
         q, _ = divmod(self, other)
         return q
 
     def __mod__(self, other):
-        _, r = divmod(self, other)
-        return r
+        other = _as_poly(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return _divide(self, other, False)[1]
 
     def __eq__(self, other):
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._ints == other._ints and self._den == other._den
 
     def __hash__(self):
-        return hash(("TauPoly", self.coeffs))
+        return hash(("TauPoly", self._ints, self._den))
 
     def __bool__(self):
         return not self.is_zero
 
     def __str__(self):
-        return _poly_str(self.coeffs)
+        return _poly_str(self._ints if self._den == 1 else self.coeffs)
 
     def __repr__(self):
         return "TauPoly(%r)" % (list(self.coeffs),)
 
 
+def _raw(ints, den):
+    """The TauPoly ints/den, for a pair already in canonical form."""
+    p = object.__new__(TauPoly)
+    p._ints = ints
+    p._den = den
+    return p
+
+
+def _canonical(ints, den):
+    """The TauPoly ints/den for a list ints and any nonzero int den.
+
+    Drops trailing zeros, then divides out gcd(den, *ints), signed so the
+    denominator comes out positive.
+    """
+    while ints and not ints[-1]:
+        ints.pop()
+    if not ints:
+        return _raw((), 1)
+    g = math.gcd(den, *ints)
+    if den < 0:
+        g = -g
+    if g != 1:
+        ints = [c // g for c in ints]
+        den //= g
+    return _raw(tuple(ints), den)
+
+
 def _as_poly(value):
     if isinstance(value, TauPoly):
         return value
-    if isinstance(value, (int, Fraction)):
-        return TauPoly((Fraction(value),))
+    if isinstance(value, int):
+        return _raw((value,), 1) if value else _raw((), 1)
+    if isinstance(value, Fraction):
+        return _raw((value.numerator,), value.denominator) if value else _raw((), 1)
     return NotImplemented
+
+
+def _horner(ints, p, q):
+    """(v, q**m) with sum_i ints[i] * (p/q)**i = v / q**m, m the degree."""
+    if not ints:
+        return 0, 1
+    value = ints[-1]
+    scale = 1
+    for i in range(len(ints) - 2, -1, -1):
+        scale *= q
+        value *= p
+        if ints[i]:
+            value += ints[i] * scale
+    return value, scale
+
+
+def _divide(p, q, want_quotient):
+    """(quotient, remainder) of p by q over Q; quotient None unless wanted.
+
+    Pseudo-division over Z (Knuth, TAOCP vol. 2, 4.6.1) of p's integers A
+    by q's integers B of degree m and lead v.  The step at t**k cancels
+    the top entry u = A[k+m] by A <- (v/g)*A - (u/g)*B*t**k, g = gcd(u, v),
+    so nothing is scaled while v divides u, as it always does when v = 1.
+    A scale v/g touches only the m entries A[k:k+m] under B; an entry
+    below them takes the product of all scales so far once, as it enters.
+    The remainder of p by q does not depend on q's denominator, and the
+    quotient is formed only when wanted.
+    """
+    B = q._ints
+    if not B:
+        raise ZeroDivisionError("division by zero")
+    m = len(B) - 1
+    A = list(p._ints)
+    if len(A) <= m:
+        return (TauPoly() if want_quotient else None), p
+    v = B[-1]
+    terms = [(j, y) for j, y in enumerate(B[:m]) if y]
+    scale = 1
+    steps = []
+    for k in range(len(A) - 1 - m, -1, -1):
+        if scale != 1:
+            A[k] *= scale  # entry k joins the window
+        top = A[k + m]
+        if not top:
+            if want_quotient:
+                steps.append((0, 1))
+            continue
+        if v == 1:
+            mult, c = 1, top
+        else:
+            g = math.gcd(top, v)
+            if v < 0:
+                g = -g
+            mult, c = v // g, top // g
+        if mult != 1:
+            for i in range(k, k + m):
+                A[i] *= mult
+            scale *= mult
+        for j, y in terms:
+            A[k + j] -= c * y
+        if want_quotient:
+            steps.append((c, mult))
+    den = p._den * scale
+    remainder = _canonical(A[:m], den)
+    if not want_quotient:
+        return None, remainder
+    # scale * A = Q' * B + R': the step-k quotient entry c is multiplied by
+    # every later step's mult; p // q is then q._den * Q' / den
+    quo = []
+    later = q._den
+    for c, mult in reversed(steps):
+        quo.append(c * later)
+        later *= mult
+    return _canonical(quo, den), remainder
 
 
 def poly_gcd(p, q):
@@ -228,16 +353,17 @@ class TauRat:
         if den.is_zero:
             raise ZeroDivisionError("division by zero")
         if num.is_zero:
-            num, den = TauPoly(), TauPoly((Fraction(1),))
+            num, den = TauPoly(), _raw((1,), 1)
         else:
             if den.degree > 0:  # a nonzero constant is coprime to every num
                 g = poly_gcd(num, den)
                 if g.degree > 0:
                     num, den = num // g, den // g
-            lead = den.lead
-            if lead != 1:
-                inv = Fraction(1) / lead
-                num, den = num * inv, den * inv
+            lead, scale = den._ints[-1], den._den
+            if lead != scale:
+                # divide both by den's leading coefficient lead/scale
+                num = _canonical([c * scale for c in num._ints], num._den * lead)
+                den = den.monic()
         self.num = num
         self.den = den
 
@@ -326,7 +452,7 @@ class TauRat:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(("TauRat", self.num.coeffs, self.den.coeffs))
+        return hash(("TauRat", self.num, self.den))
 
     def __bool__(self):
         return not self.is_zero
@@ -335,7 +461,7 @@ class TauRat:
         if self.is_zero:
             return "0"
         if self.num.degree == 0 and self.den.degree == 0:
-            return format_rational(self.num.coeffs[0])
+            return format_rational(self.num.lead)
         ncs, dcs = _joint_integer_coeffs(self.num, self.den)
         if len(dcs) == 1 and dcs[0] == 1:
             return _poly_str(ncs)
@@ -345,14 +471,14 @@ class TauRat:
         return "TauRat[%s]" % (self,)
 
 
-TAU = TauRat(TauPoly((Fraction(0), Fraction(1))))
+TAU = TauRat(_raw((0, 1), 1))
 
 
 def _as_taurat(value):
     if isinstance(value, TauRat):
         return value
     if isinstance(value, (int, Fraction)):
-        return TauRat(TauPoly((Fraction(value),)))
+        return TauRat(_as_poly(value))
     if isinstance(value, TauPoly):
         return TauRat(value)
     return NotImplemented
@@ -400,10 +526,13 @@ def eval_exact(x, tau0):
     if x is NotImplemented:
         raise TypeError("eval_exact expects a TauRat")
     tau0 = Fraction(tau0)
-    den_value = x.den.evaluate(tau0)
-    if den_value == 0:
+    p, q = tau0.numerator, tau0.denominator
+    num, num_scale = _horner(x.num._ints, p, q)
+    den, den_scale = _horner(x.den._ints, p, q)
+    if den == 0:
         raise ZeroDivisionError("evaluation at pole")
-    return Fraction(x.num.evaluate(tau0)) / den_value
+    # num(tau0) = num / (x.num._den * num_scale), and likewise for den
+    return Fraction(num * x.den._den * den_scale, den * x.num._den * num_scale)
 
 
 # -- textual form ------------------------------------------------------------
@@ -441,13 +570,15 @@ def parse_rational(text):
 
 
 def _joint_integer_coeffs(num, den):
-    """Scale num and den by one positive rational to joint integer content 1."""
-    entries = [c for c in num.coeffs + den.coeffs if c != 0]
-    scale = Fraction(math.lcm(*(c.denominator for c in entries)),
-                     math.gcd(*(abs(c.numerator) for c in entries)))
-    ncs = [int(c * scale) for c in num.coeffs]
-    dcs = [int(c * scale) for c in den.coeffs]
-    return ncs, dcs
+    """Scale num and den by one positive rational to joint integer content 1.
+
+    num = A/d and den = B/e times d*e are the integers A*e and B*d, which
+    then lose their joint content.
+    """
+    ncs = [c * den._den for c in num._ints]
+    dcs = [c * num._den for c in den._ints]
+    g = math.gcd(*ncs, *dcs)
+    return [c // g for c in ncs], [c // g for c in dcs]
 
 
 def _poly_str(coeffs):

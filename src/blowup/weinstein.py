@@ -109,9 +109,19 @@ class WeinsteinValue:
 def ball_integral_closed_form(loop, manifold):
     """Exact time-averaged integral of the loop Hamiltonian over the ball.
 
-    Equals -K * t^(n+1)/(n+1)! + C * t^n with K the weight sum; the C term
-    is C times the ball volume t^n in the 2n-form normalization where the
-    ball of weight t has volume t^n.
+    Equals -K * t^(n+1)/(n+1)! + C * t^n with K the weight sum, on the
+    ball of radius rho with t = pi*rho^2.  The two terms use different
+    measures:
+
+      * the K term is the Lebesgue integral of -pi * sum_j m_j |z_j|^2
+        over the ball;
+      * the C term C * t^n is n! times C times the Lebesgue volume
+        t^n/n! of the ball, i.e. C times the volume in the normalization
+        where the ball of weight t has volume t^n.
+
+    Against one measure the terms differ by that factor n!.  Which
+    convention is meant is an open question; the values are kept as they
+    are, and tests pin both terms against quadrature.integrate_ball.
     """
     manifold.check_loop(loop)
     n = manifold.n

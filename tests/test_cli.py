@@ -499,6 +499,39 @@ def test_rational_past_the_digit_limit_exits_2(tmp_path, capsys, command):
     assert captured.err.startswith("error: loops[0].C: ")
 
 
+def digit_limit_manifest(command):
+    """A valid manifest whose result holds an integer of over 4,300 digits,
+    though every literal in it has fewer."""
+    if command == "lift":
+        # V = 10^4200 scaled by the 200-digit denominator of C
+        return {"manifold": {"n": 2, "volume": "1" + "0" * 4200, "period": "1"},
+                "loops": [{"name": "main", "weights": [1, 2],
+                           "C": "1/" + "7" * 200}]}
+    if command == "order":
+        # C/a has a denominator of 8,599 digits, the base order
+        return {"manifold": {"n": 2, "volume": "1", "period": "9" * 4299},
+                "loops": [{"name": "main", "weights": [1, 2],
+                           "C": "1/1" + "0" * 4298}]}
+    # the orders 2^p - 1 are pairwise coprime, so the kernel entries carry
+    # their lcm of about 11,700 digits
+    return {"manifold": {"n": 2, "volume": "1", "period": "1"},
+            "loops": [{"name": "l%d" % j, "weights": [1, j],
+                       "C": "1/%d" % (2 ** p - 1)}
+                      for j, p in enumerate((13001, 13003, 13007))]}
+
+
+@pytest.mark.parametrize("command", ["lift", "order", "rank"])
+def test_result_past_the_digit_limit_exits_2(tmp_path, capsys, command):
+    path = write_manifest(tmp_path, digit_limit_manifest(command))
+    argv = [command, path] + (["--loop", "main"] if command != "rank" else [])
+    limit = sys.get_int_max_str_digits()
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert_one_error_line(captured)
+    assert "more than %d digits" % limit in captured.err
+    assert sys.get_int_max_str_digits() == limit
+
+
 @pytest.mark.parametrize("check", ("all",) + cli.VERIFY_GROUPS)
 def test_verify_rejects_radius_whose_area_overflows(tmp_path, capsys, check):
     # a valid profile, but pi*r^2 is past the float range

@@ -261,6 +261,51 @@ def test_canonical_form_matches_sympy_cancel(x, g):
     assert got.den == from_sympy(sympy.expand(den / lead))
 
 
+wide_rationals = st.fractions(min_value=-10**6, max_value=10**6,
+                              max_denominator=10**4)
+
+
+def wide_taupolys(max_degree, nonzero=False):
+    base = st.lists(st.one_of(st.just(Fraction(0)), rationals, wide_rationals),
+                    max_size=max_degree + 1).map(TauPoly)
+    return base.filter(lambda p: not p.is_zero) if nonzero else base
+
+
+def sympy_poly(p):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Poly([sympy.Rational(c) for c in reversed(p.coeffs)] or [0],
+                      sympy.Symbol("t"), domain="QQ")
+
+
+@given(wide_taupolys(7), wide_taupolys(3, nonzero=True),
+       st.one_of(rationals, wide_rationals))
+@settings(max_examples=120, deadline=None)
+def test_kernel_matches_sympy_poly(p, q, x):
+    sympy = pytest.importorskip("sympy")
+    P, Q = sympy_poly(p), sympy_poly(q)
+    assert sympy_poly(p + q) == P + Q
+    assert sympy_poly(p - q) == P - Q
+    assert sympy_poly(p * q) == P * Q
+    quo, rem = divmod(p, q)
+    assert (sympy_poly(quo), sympy_poly(rem)) == sympy.div(P, Q)
+    assert p % q == rem
+    assert sympy_poly(poly_gcd(p, q)) == sympy.gcd(P, Q)
+    assert sympy_poly(q.monic()) == Q.monic()
+    assert p.evaluate(x) == Fraction(str(P.eval(sympy.Rational(x))))
+
+
+@given(wide_taupolys(5, nonzero=True),
+       st.fractions(min_value=-10**4, max_value=10**4).filter(bool))
+def test_proportional_polynomials_share_one_canonical_form(p, s):
+    scaled = TauPoly([s * c for c in p.coeffs])
+    assert scaled.monic() == p.monic()
+    assert hash(scaled.monic()) == hash(p.monic())
+    back = scaled * (1 / s)
+    assert back == p
+    assert hash(back) == hash(p)
+    assert (scaled == p) == (s == 1)
+
+
 def test_rational_strings():
     assert parse_rational("3/4") == Fraction(3, 4)
     assert parse_rational("-2") == Fraction(-2)

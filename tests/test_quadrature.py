@@ -91,6 +91,28 @@ def test_constant_term_is_volume_normalized():
     assert result.value == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_closed_form_terms_pin_their_measures(n):
+    # the K term is a Lebesgue integral; the C term is n! times C times the
+    # Lebesgue volume, so the two terms disagree by n! on one measure
+    rho = 0.4
+    t0 = math.pi * rho * rho
+    manifold = ManifoldSpec(n=n, V=Fraction(10), a=Fraction(1))
+    weights = tuple(range(1, n + 1))
+    k_term = eval_at(ball_integral_closed_form(
+        CircleLoopSpec(weights=weights, C=0), manifold), t0)
+    assert k_term == pytest.approx(
+        integrate_ball(LocalHamiltonian(weights=weights), rho, n).value,
+        rel=1e-12)
+    C = Fraction(5, 7)
+    c_term = eval_at(ball_integral_closed_form(
+        CircleLoopSpec(weights=(0,) * n, C=C), manifold), t0)
+    volume = integrate_ball(LocalHamiltonian(weights=(0,) * n, c=1.0), rho, n)
+    assert volume.value == pytest.approx(lebesgue_ball_volume(n, rho), rel=1e-12)
+    assert c_term == pytest.approx(math.factorial(n) * float(C) * volume.value,
+                                   rel=1e-12)
+
+
 def test_linearity():
     h1 = LocalHamiltonian(weights=(1, 2), c=0.25)
     h2 = LocalHamiltonian(weights=(3, 1), c=-1.0)

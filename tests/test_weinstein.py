@@ -1,5 +1,6 @@
 """Exact lift formulas for circle-type loops and the Calabi variant."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -142,16 +143,72 @@ def manifold_specs():
     )
 
 
-@given(manifold_specs(), st.data())
-@settings(max_examples=60)
-def test_circle_lift_consistent_with_general(manifold, data):
-    loop = data.draw(loop_specs(manifold.n))
+def assert_prints_as_sympy_cancel(value, expected, t):
+    """str(value) is the reduced form of expected: coprime parts scaled by
+    one positive rational to integers with no common factor, as the
+    denominator is monic before scaling."""
+    sympy = pytest.importorskip("sympy")
+    text = str(value)
+    if expected == 0:
+        assert text == "0"
+        return
+    num, den = sympy.fraction(expected)
+    num = sympy.Poly(num, t, domain="QQ")
+    den = sympy.Poly(den, t, domain="QQ")
+    num, den = num.quo_ground(den.LC()), den.monic()
+    coeffs = [c for c in num.all_coeffs() + den.all_coeffs() if c]
+    scale = sympy.Rational(math.lcm(*(int(c.q) for c in coeffs)),
+                           math.gcd(*(int(c.p) for c in coeffs)))
+    if text.startswith("("):
+        num_text, den_text = text[1:-1].split(")/(")
+    else:
+        num_text, den_text = text, "1"
+
+    def parse(part):
+        return sympy.Poly(sympy.parse_expr(part.replace("^", "**"), {"t": t}),
+                          t, domain="QQ")
+
+    assert parse(num_text) == num * scale
+    assert parse(den_text) == den * scale
+
+
+@given(st.integers(min_value=2, max_value=12),
+       st.sampled_from(["free", "cancelling", "K = 0", "C = 0"]), st.data())
+@settings(max_examples=80, deadline=None)
+def test_circle_lift_consistent_with_general(n, case, data):
+    sympy = pytest.importorskip("sympy")
+    weights = list(data.draw(st.lists(st.integers(min_value=-9, max_value=9),
+                                      min_size=n, max_size=n)))
+    if case == "K = 0":
+        weights[-1] -= sum(weights)
+    K = sum(weights)
+    C = data.draw(st.fractions(min_value=-4, max_value=4, max_denominator=12))
+    V = data.draw(st.fractions(min_value=Fraction(1, 4), max_value=9,
+                               max_denominator=6))
+    if case == "cancelling":
+        # t = u is a root of both V - t^n and C*t^n - K*t^(n+1)/(n+1)!
+        u = data.draw(st.fractions(min_value=Fraction(1, 4), max_value=3,
+                                   max_denominator=6))
+        V, C = u ** n, u * K / math.factorial(n + 1)
+    elif case == "C = 0":
+        C = Fraction(0)
+    manifold = ManifoldSpec(
+        n=n, V=V, a=data.draw(st.sampled_from([Fraction(1), Fraction(2, 3)])))
+    loop = CircleLoopSpec(weights=tuple(weights), C=C)
     via_circle = lift_value_circle(loop, manifold)
     via_general = lift_value_general(
         TauRat(loop.C), ball_integral_closed_form(loop, manifold), manifold
     )
     assert via_circle.lifted_value == via_general.lifted_value
     assert via_circle.base_value == via_general.base_value
+    if case == "cancelling" and K != 0:
+        assert via_circle.lifted_value.den.degree == n - 1
+
+    t = sympy.Symbol("t")
+    C, V = sympy.Rational(C), sympy.Rational(V)
+    integral = -K * t ** (n + 1) / sympy.factorial(n + 1) + C * t ** n
+    expected = sympy.cancel(C + integral / (V - t ** n))
+    assert_prints_as_sympy_cancel(via_circle.lifted_value, expected, t)
 
 
 @given(manifold_specs(), st.data())
