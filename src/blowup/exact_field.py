@@ -252,16 +252,23 @@ def _as_poly(value):
 
 
 def _horner(ints, p, q):
-    """(v, q**m) with sum_i ints[i] * (p/q)**i = v / q**m, m the degree."""
+    """(v, q**m) with sum_i ints[i] * (p/q)**i = v / q**m, m the degree.
+
+    A run of zero coefficients costs one power of p and one of q, so
+    V - t**n takes O(log n) products, not n.
+    """
     if not ints:
         return 0, 1
-    value = ints[-1]
-    scale = 1
+    value, scale, run = ints[-1], 1, 0
     for i in range(len(ints) - 2, -1, -1):
-        scale *= q
-        value *= p
+        run += 1
         if ints[i]:
-            value += ints[i] * scale
+            scale *= q ** run
+            value = value * p ** run + ints[i] * scale
+            run = 0
+    if run:
+        scale *= q ** run
+        value *= p ** run
     return value, scale
 
 
@@ -275,7 +282,9 @@ def _divide(p, q, want_quotient):
     A scale v/g touches only the m entries A[k:k+m] under B; an entry
     below them takes the product of all scales so far once, as it enters.
     The remainder of p by q does not depend on q's denominator, and the
-    quotient is formed only when wanted.
+    quotient is formed only when wanted.  Without it, a linear q gives the
+    remainder as p's value at q's root, by _horner, which takes the lift's
+    Euclid step on V - t**n in O(log n) products.
     """
     B = q._ints
     if not B:
@@ -285,6 +294,9 @@ def _divide(p, q, want_quotient):
     if len(A) <= m:
         return (TauPoly() if want_quotient else None), p
     v = B[-1]
+    if m == 1 and not want_quotient:
+        value, scale = _horner(A, -B[0], v)
+        return None, _canonical([value], p._den * scale)
     terms = [(j, y) for j, y in enumerate(B[:m]) if y]
     scale = 1
     steps = []
