@@ -279,7 +279,7 @@ def _divide(p, q, want_quotient):
     by q's integers B of degree m and lead v.  The step at t**k cancels
     the top entry u = A[k+m] by A <- (v/g)*A - (u/g)*B*t**k, g = gcd(u, v),
     so nothing is scaled while v divides u, as it always does when v = 1.
-    A scale v/g touches only the m entries A[k:k+m] under B; an entry
+    A scale v/g (negative when v is) touches only the m entries A[k:k+m] under B; an entry
     below them takes the product of all scales so far once, as it enters.
     The remainder of p by q does not depend on q's denominator, and the
     quotient is formed only when wanted.  Without it, a linear q gives the
@@ -308,13 +308,8 @@ def _divide(p, q, want_quotient):
             if want_quotient:
                 steps.append((0, 1))
             continue
-        if v == 1:
-            mult, c = 1, top
-        else:
-            g = math.gcd(top, v)
-            if v < 0:
-                g = -g
-            mult, c = v // g, top // g
+        g = math.gcd(top, v)
+        mult, c = v // g, top // g
         if mult != 1:
             for i in range(k, k + m):
                 A[i] *= mult
