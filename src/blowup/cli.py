@@ -35,6 +35,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -52,9 +53,8 @@ from .local_model import (
 )
 from .period import class_order
 from .quadrature import (
-    _product_bound,
+    _gauss_ball,
     _relative_deviation,
-    integrate_ball,
     verify_annulus_pushforward,
     verify_normalized_lemma,
 )
@@ -337,62 +337,63 @@ def _beta_invariants_check(params):
                        max_deviation=float(deviation), tolerance=1e-12)
 
 
-def _float_hamiltonian(loop, params):
-    """The loop's Hamiltonian in floats, refused where it overflows.
+def _float_hamiltonian(loop, r):
+    """H(r z) / r^2, the loop's Hamiltonian on the unit model, in floats.
 
-    Every check evaluates H at radii up to r, where |H| <= h.bound(r),
-    which must be finite even where pi*r^2 is.
+    Its constant C/r^2 is rounded once; every check evaluates it on the
+    unit ball, where |H| <= h.bound(1.0), which must be finite.
     """
     try:
-        h = LocalHamiltonian(weights=loop.weights, c=float(loop.C))
-        size = h.bound(params.r)
+        h = LocalHamiltonian(weights=loop.weights,
+                             c=loop.C / Fraction(r) ** 2)
+        size = h.bound(1.0)
     except OverflowError:
-        raise ManifestError("loop '%s': weights and C must fit in a float "
-                            "for verify" % loop.name) from None
+        raise ManifestError("loop '%s': weights and C/r^2 must fit in a "
+                            "float for verify" % loop.name) from None
     if not math.isfinite(size):
-        raise ManifestError("loop '%s': pi*r^2*max|w| + |C| must fit in a "
+        raise ManifestError("loop '%s': pi*max|w| + |C|/r^2 must fit in a "
                             "float for verify" % loop.name)
     return h
 
 
 def _verify_rows(manifest, params, which):
+    """The rows of a verify group, every one run on the unit model.
+
+    (rho, delta, r, C) -> (rho/r, delta/r, 1, C/r^2) is an exact symmetry
+    of the local model, and this is the one place the scale enters.
+    """
+    r = params.r  # validated, so positive
+    try:
+        unit = LocalModelParams(params.n, params.rho / r, params.delta / r, 1)
+    except ValueError as exc:  # a bound that the division rounds across
+        raise ManifestError(str(exc)) from None
     rows = []
     seed = manifest.seed
-    loops = manifest.loops
     if which in ("beta", "all"):
-        rows.append(_beta_invariants_check(params))
-    for loop in loops:
-        h = _float_hamiltonian(loop, params)
+        rows.append(_beta_invariants_check(unit))
+    for loop in manifest.loops:
+        h = _float_hamiltonian(loop, r)
         unitary = UnitaryLoop(loop.weights)
         label = ":" + loop.name
         if which in ("s1", "all"):
-            row = s1_invariance_check(h, samples=500, seed=seed, params=params)
+            row = s1_invariance_check(h, samples=500, seed=seed, params=unit)
             row.check += label
             rows.append(row)
-            row = divisor_continuity_check(h, params, seed=seed)
+            row = divisor_continuity_check(h, unit, seed=seed)
             row.check += label
             rows.append(row)
         if which in ("pullback", "all"):
             row = symplectic_pullback_check(
-                unitary.matrix(0.37), params, grid=150, seed=seed)
+                unitary.matrix(0.37), unit, grid=150, seed=seed)
             row.check += label
             rows.append(row)
         if which in ("vector-field", "all"):
-            row = vector_field_relation_check(unitary, params, samples=120,
+            row = vector_field_relation_check(unitary, unit, samples=120,
                                               seed=seed)
             row.check += label
             rows.append(row)
         if which in ("integrals", "all"):
-            # the rules multiply h.bound(r) by the sphere's area and r^(2n)
-            if not math.isfinite(_product_bound(h, params.n, params.r)):
-                raise ManifestError("loop '%s': its ball integral does not "
-                                    "fit in a float" % loop.name)
-            quadratic = CircleLoopSpec(weights=loop.weights, C=0,
-                                       name=loop.name)
-            expected = eval_at(
-                ball_integral_closed_form(quadratic, manifest.manifold),
-                math.pi * params.rho ** 2)
-            annulus = verify_annulus_pushforward(h, params)
+            annulus = verify_annulus_pushforward(h, unit)
             rows.append(CheckResult(
                 check="annulus-pushforward" + label,
                 samples=annulus.left.samples_or_order,
@@ -400,16 +401,23 @@ def _verify_rows(manifest, params, which):
                 tolerance=1e-4,
                 skipped=annulus.skipped,
             ))
-            row = verify_normalized_lemma(h, params)
+            row = verify_normalized_lemma(h, unit)
             row.check += label
             rows.append(row)
             quadratic_h = LocalHamiltonian(weights=loop.weights)
-            got = integrate_ball(quadratic_h, params.rho, params.n)
+            got = _gauss_ball(quadratic_h, unit.rho, unit.n)
+            # the closed form's t^(n+1) coefficient over the ball's volume
+            # t^n/n! gives the mean, that coefficient times n! times t
+            closed = ball_integral_closed_form(
+                CircleLoopSpec(weights=loop.weights), manifest.manifold)
+            expected = (float(closed.num.coeff(unit.n + 1)
+                              * math.factorial(unit.n))
+                        * (math.pi * unit.rho * unit.rho))
             rows.append(CheckResult(
                 check="ball-closed-form" + label,
                 samples=got.samples_or_order,
-                max_deviation=_relative_deviation(got.value, expected,
-                                                  quadratic_h, params.rho),
+                max_deviation=_relative_deviation(
+                    got.value, expected, quadratic_h.bound(unit.rho)),
                 tolerance=1e-5,
             ))
     return rows

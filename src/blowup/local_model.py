@@ -29,35 +29,32 @@ profiles such as rho=0.4, delta=0.2, r=1.
 The loops are circle actions psi_t z = (exp(-2 pi i m_j t) z_j) of integer
 weights, UnitaryLoop(weights) on C^n with n = len(weights), generated by
 LocalHamiltonian's -pi sum m_j |z_j|^2 + c with c a constant float; the
-loop's field -2 pi i m_j z_j is in closed form, and UnitaryLoop.matrix
-gives psi_t at one time.
+loop's field -2 pi i m_j z_j is in closed form.
 
 Checks report a CheckResult carrying name, sample count, max deviation,
 tolerance, and a skipped-sample count; finite differences are central
-with step 1e-5.
+with step 1e-5.  Each check keeps its contract at whatever scale it is
+given, with absolute tolerances; the dilation (rho, delta, r, c) ->
+(lambda rho, lambda delta, lambda r, lambda^2 c) is an exact symmetry of
+the model, so the CLI's verify calls every check once, on the unit model
+r = 1, with c/r^2 for c.
 
-The batched chart kernel of the package lives here: the coordinate
-helpers _realify/_complexify, the profile _profile_raw and its slope
-_profile_slope, the chart map _chart, which scales real (N, 2n) rows by
-beta(|x|)/|x| with no complex round trip, the central-difference
-Jacobian _jacobian of a batched real map, LocalHamiltonian.values, and
-two uniform ball-or-shell draws that share one radius law, _shell_radii:
-points (_shell_samples, for the seeded checks, from Gaussian directions)
-and radii with weighted direction moments (_shell_moments, for every
-Monte-Carlo integral, from the Dirichlet law of a uniform direction's
-squared moduli).  quadrature.py imports the profile, its slope and the
-moment draw: the chart's determinant is det DF = beta'(s) (beta(s)/s)^(2n-1)
-in closed form, so no pullback differences the chart.  _jacobian calls
-its map twice, on all "+step" and then all "-step" copies of the rows,
-and returns a C-contiguous array, since the @ products of the checks
-round differently on a transposed view; it serves the chart checks,
-where the map is arbitrary and a finite difference is the witness, and
-the gradient of H in vector_field_relation_check.
-Checks run the kernel over all their seeded samples at once; a map
-given to symplectic_pullback_check as a callable of one point, not as
-an (n, n) complex matrix, goes through the row loop _rows.  Deviations
-are reduced with np.max, so a NaN sample gives a NaN deviation, which
-never passes, and a check that samples nothing fails.
+The batched chart kernel of the package lives here: _realify and
+_complexify, the profile _profile_raw and its slope _profile_slope, the
+chart _chart, which scales real (N, 2n) rows by beta(|x|)/|x|, the
+central-difference Jacobian _jacobian of a batched real map, called on
+all "+step" and then all "-step" copies of the rows into a C-contiguous
+array (the @ products of the checks round differently on a transposed
+view), LocalHamiltonian.values, and two uniform ball-or-shell draws that
+share one radius law, _shell_radii: points (_shell_samples, from
+Gaussian directions) and radii with weighted direction moments
+(_shell_moments, from the Dirichlet law of a uniform direction's squared
+moduli), which quadrature.py takes with the profile and its slope.
+Checks run over all their seeded samples at once; a map given to
+symplectic_pullback_check as a callable of one point goes through the
+row loop _rows.  Deviations are reduced with np.max, so a NaN sample
+gives a NaN deviation, which never passes, and a check that samples
+nothing fails.
 """
 
 from __future__ import annotations

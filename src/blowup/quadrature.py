@@ -1,50 +1,45 @@
-"""Numerical integration over balls and annuli in R^(2n) = C^n.
+"""Numerical means and integrals over balls and annuli in R^(2n) = C^n.
 
-All integrals here are taken against Lebesgue measure, the normalization
-in which the ball of radius rho in C^n has volume pi^n rho^(2n) / n! and
-the quadratic moment of each |z_j|^2 over it is pi^n rho^(2n+2) / (n+1)!.
-The unnormalized volume-form value is n! times the Lebesgue one; callers
-comparing against conventions that count the ball volume as pi^n rho^(2n)
-must scale accordingly.
+Every rule computes a mean over a ball of radius R: the radial average of
+the integrand at R u against the unit ball's radial density 2n u^(2n-1)
+on [0, 1].  So no rule forms a volume, a sphere area, pi^n, n! or
+R^(2n), and every deviation is a ratio of two means over one ball, which
+reads the same at every scale.  Only the public integrals, integrate_ball
+and the two sides of AnnulusComparison, are Lebesgue integrals: the mean
+times the ball's volume pi^n R^(2n) / n!, formed once from logarithms
+(_ball_volume).  The unnormalized volume-form value is n! times the
+Lebesgue one.
 
-Two schemes are provided.  Both rest on the radial-angular factorization
-of the circle-type Hamiltonians H = -pi sum m_j |z_j|^2 + c: at a point
-s*u with |u| = 1, H is -pi s^2 q + c with q = sum m_j |u_j|^2 the
-weighted moment of the direction (_sphere_values).  product-gauss
-replaces q by its sphere average K/n, K the weight sum, so the whole
-integral collapses to a one-dimensional radial Gauss-Legendre rule of
-GAUSS_ORDER nodes per panel that is exact for these polynomial
-integrands.  monte-carlo samples the region itself, a ball or an
-annulus, so no draw is rejected, and hands each integrand the radii and
-moments of uniform points without forming them (_shell_moments): n
-exponentials give the squared moduli of a uniform direction, one
-uniform its radius.  A fixed seed and deterministic block partitioning
-keep results bit-stable, and one sampling loop serves every region.
-For a square-integrable integrand its default count never has a larger
-standard error than the 200k cube draws it replaced (_default_samples).
+Both schemes rest on the radial-angular factorization of the circle-type
+Hamiltonians H = -pi sum m_j |z_j|^2 + c: at a point s*u with |u| = 1, H
+is -pi s^2 q + c with q = sum m_j |u_j|^2 the weighted moment of the
+direction (_sphere_values).  product-gauss replaces q by its sphere
+average K/n, K the weight sum, so a mean is a radial Gauss-Legendre rule
+of GAUSS_ORDER nodes per panel.  On a ball or annulus (_gauss_shell) the
+density is divided by the rule's own total and weighed by the region's
+exact share of the ball: from n ~ 32 on the rule no longer integrates
+2n u^(2n-1) exactly (it misses 5e-5 of it at n = 171), and the ratio
+cancels most of that.  monte-carlo draws uniform points of the region,
+a ball or an annulus, as radii and direction moments (_shell_moments),
+in seeded deterministic blocks; the sample mean times the region's share
+is the mean over the ball.  For a square-integrable integrand its default
+count never has a larger standard error than the 200k cube draws it
+replaced (_default_samples).
 
-The pushforward checks integrate the same Hamiltonian twice: once on the
-annulus directly and once pulled back through the radial chart map,
-F(x) = beta(|x|) x/|x|, which keeps directions, so H o F is
--pi beta(s)^2 q + c.  The chart is unitary-equivariant, so DF at radius s
-is conjugate by a unitary to DF at the axis point (s, 0, ..., 0), where it
-is diagonal with one radial entry beta'(s) and 2n - 1 tangential ones
-beta(s)/s; det DF = beta'(s) (beta(s)/s)^(2n-1) on the whole sphere, in
-closed form from the profile and its slope (_profile_raw,
-_profile_slope), with no finite difference.  The two sides stay
-independent because the right side never touches the chart: it
-integrates H over rho < |z| <= r by itself.  So the identity holds only
-if beta' really is the derivative of beta and beta runs from rho to r,
-which a finite-difference slope could never show, being near the true
-derivative of whatever beta it is given.  No sample forms a point, a
-chart image or a Jacobian.  product-gauss folds the volume factor in as
-beta' beta^(2n-1), which is s^(2n-1) det DF and stays below r^(2n-1)
-where det DF itself overflows (near the origin at n = 60), and caches it
-per chart and order.  Radii below 1e-8 r are skipped and counted, a
-threshold that scales with the model.  Each deviation is relative to the
-right side, floored at 1e-12 of the integrand's size, h.bound(radius),
-times the region's volume (_relative_deviation).  The profile, its
-slope and the moment draw are the shared kernel of local_model.py.
+The pushforward checks take the mean of H over the annulus rho < |z| <= r
+directly, and pulled back through the radial chart F(x) = beta(|x|) x/|x|
+over the r-ball.  F keeps directions, so H o F is -pi beta(s)^2 q + c,
+and it is unitary-equivariant, so det DF = beta'(s) (beta(s)/s)^(2n-1) on
+each sphere, in closed form from the profile and its slope
+(_profile_raw, _profile_slope, shared with local_model.py).  The two
+sides agree only if beta' is the derivative of beta and beta runs from
+rho to r, which a finite-difference slope could never show.
+product-gauss folds the radial density and det DF into one weight,
+2n beta' (beta/r)^(2n-1) / r, at most 2n where det DF alone overflows
+near the origin; it is cached per chart and order, and left unnormalized,
+since a slope off by a factor would cancel in the ratio.  Radii below
+1e-8 r are skipped and counted.  Each deviation is relative to the right
+side, floored at 1e-12 of a bound on it (_relative_deviation).
 """
 
 from __future__ import annotations
@@ -77,7 +72,7 @@ GAUSS_ORDER = 32
 
 @dataclass(frozen=True)
 class IntegralResult:
-    """A numeric integral with a nonnegative error estimate.
+    """A numeric integral, or mean, with a nonnegative error estimate.
 
     For product-gauss the estimate is the order-halving difference plus a
     roundoff floor; for monte-carlo it is one standard error.
@@ -98,11 +93,6 @@ class AnnulusComparison(NamedTuple):
     right: IntegralResult
     deviation: float
     skipped: int
-
-
-def _sphere_area(n):
-    # area of the unit sphere in R^(2n)
-    return 2.0 * math.pi ** n / math.factorial(n - 1)
 
 
 @functools.lru_cache(maxsize=32)
@@ -128,34 +118,60 @@ def _sphere_values(h, s, moment):
     return -math.pi * moment * s * s + h.c
 
 
-def _gauss_shell(h, a, b, n, order):
-    """Integral of H over a <= |z| <= b; a = 0 gives the ball."""
-    s, w = _gauss_nodes(a, b, order)
-    integrand = (_sphere_values(h, s, h.weight_sum / n) * _sphere_area(n)
-                 * s ** (2 * n - 1))
-    return float(np.sum(w * integrand))
+def _ball_volume(n, radius):
+    """Lebesgue volume pi^n radius^(2n) / n! of the radius-ball in C^n.
+
+    One exponential of a sum of logarithms, so no power or factorial is a
+    float of its own; a volume past the float range raises OverflowError.
+    """
+    return math.exp(n * (math.log(math.pi) + 2.0 * math.log(radius))
+                    - math.lgamma(n + 1))
 
 
-def _gauss_result(value, coarse):
+def _shell_share(n, radius, inner):
+    """Share of the radius-ball that its part |z| >= inner fills."""
+    return 1.0 - (inner / radius) ** (2 * n)
+
+
+def _lebesgue(mean, volume):
+    """The integral over a ball of the given volume, from its mean."""
+    return IntegralResult(volume * mean.value, volume * mean.error_estimate,
+                          mean.scheme, mean.samples_or_order)
+
+
+def _gauss_shell(h, radius, inner, n, order):
+    """Mean over the radius-ball of H on inner <= |z|, by one Gauss rule.
+
+    The unit ball's radial density 2n u^(2n-1) on nodes of [inner/radius,
+    1], divided by its own sum and weighed by the shell's exact share.
+    """
+    u, w = _gauss_nodes(inner / radius, 1.0, order)
+    density = w * (2 * n) * u ** (2 * n - 1)
+    values = _sphere_values(h, radius * u, h.weight_sum / n)
+    return (_shell_share(n, radius, inner)
+            * float(np.sum(density * values) / np.sum(density)))
+
+
+def _gauss_result(mean, coarse):
     """Product-gauss result whose error compares against the coarse rule."""
-    error = abs(value - coarse) + 1e-15 * abs(value)
-    return IntegralResult(value, error, "product-gauss", GAUSS_ORDER)
+    error = abs(mean - coarse) + 1e-15 * abs(mean)
+    return IntegralResult(mean, error, "product-gauss", GAUSS_ORDER)
 
 
-def _shell_volume(n, radius, inner=0.0):
-    """Lebesgue volume of inner <= |z| <= radius in C^n."""
-    return math.pi ** n / math.factorial(n) * (radius ** (2 * n)
-                                               - inner ** (2 * n))
+def _gauss_ball(h, radius, n):
+    """Product-gauss mean of H over the radius-ball, with its error."""
+    return _gauss_result(_gauss_shell(h, radius, 0.0, n, GAUSS_ORDER),
+                         _gauss_shell(h, radius, 0.0, n, GAUSS_ORDER // 2))
 
 
 def _monte_carlo(integrand, weights, radius, samples, seed, inner=0.0):
-    """Block-deterministic Monte-Carlo over inner <= |x| <= radius in R^(2n).
+    """Block-deterministic Monte-Carlo mean over the radius-ball in R^(2n).
 
-    n is the number of weights.  The samples, _default_samples(n) when
-    None, split into _MC_BLOCKS blocks, each drawing exactly its own count
-    from its own child of SeedSequence(seed), so results are bit-stable.
-    integrand maps the block's radii and weighted direction moments
-    (_shell_moments) to its values; the mean is scaled by the shell volume.
+    The integrand is zero below inner; n is the number of weights.  The
+    samples, _default_samples(n) when None, split into _MC_BLOCKS blocks,
+    each drawing its own count in inner <= |x| <= radius from its own
+    child of SeedSequence(seed), so results are bit-stable.  integrand
+    maps a block's radii and direction moments (_shell_moments) to values.
     """
     n = len(weights)
     samples = _default_samples(n) if samples is None else samples
@@ -173,57 +189,33 @@ def _monte_carlo(integrand, weights, radius, samples, seed, inner=0.0):
                                            block, weights, radius, inner))
         total += float(np.sum(values))
         total_sq += float(np.sum(values * values))
-    volume = _shell_volume(n, radius, inner)
+    share = _shell_share(n, radius, inner)
     mean = total / samples
     variance = max(total_sq / samples - mean * mean, 0.0)
-    return IntegralResult(volume * mean, volume * math.sqrt(variance / samples),
+    return IntegralResult(share * mean, share * math.sqrt(variance / samples),
                           "monte-carlo", samples)
 
 
-def _relative_deviation(value, reference, h, radius, inner=0.0):
-    """|value - reference| relative to |reference|, with a relative floor.
+def _relative_deviation(value, reference, size):
+    """|value - reference| relative to |reference|, floored at 1e-12 size.
 
-    The floor is 1e-12 of the integrand's size on the region inner <= |z|
-    <= radius, h.bound(radius), times the region's volume, so
-    it scales with the integral it guards.  An absolute floor swallows an
-    integral that is small only because its region is, as the unit ball's
-    is from n ~ 30 on.  The least positive float keeps H = 0 from dividing
-    zero by zero.
+    size bounds |reference|, so the floor scales with the means it guards;
+    the least positive float keeps H = 0 from dividing zero by zero.
     """
-    floor = 1e-12 * h.bound(radius) * _shell_volume(len(h.weights), radius,
-                                                    inner)
-    return abs(value - reference) / max(abs(reference), floor, math.ulp(0.0))
-
-
-def _product_bound(h, n, radius):
-    """Bound on every product product-gauss forms on the radius-ball, or inf.
-
-    The rules multiply h.bound(radius), the sphere's area or pi^n/n!, and
-    radial powers up to radius^(2n), in varying orders, and add up to four
-    such terms; each factor floored at 1 bounds every partial product.
-    """
-    try:
-        return (4.0 * max(h.bound(radius), 1.0)
-                * max(_sphere_area(n), _shell_volume(n, 1.0), 1.0)
-                * max(radius, 1.0) ** (2 * n))
-    except OverflowError:
-        return math.inf
+    return abs(value - reference) / max(abs(reference), 1e-12 * size,
+                                        math.ulp(0.0))
 
 
 def _default_samples(n):
     """Points that land in the ball out of 200k cube draws, on average.
 
-    Drawing them in the ball itself never gives a larger standard error
-    than the 200k cube draws, for any square-integrable f.  The ball
-    fills the share p = pi^n / (n! 4^n) of its bounding cube, V_b = p V_c;
-    with E the mean over the ball, M = p N ball draws have variance
-    V_c^2 (p E f^2 - p (E f)^2) / N, and N cube draws, which are zero
-    outside, have V_c^2 (p E f^2 - p^2 (E f)^2) / N, never smaller as
-    p <= 1.  An annulus inside the ball fills a smaller share of the cube,
-    so the same count bounds its error as well.  The pulled-back integrand
-    is square-integrable only at n = 1, as det DF grows like
-    (rho/|x|)^(2n-2) at the origin; from n = 2 on neither sampler has a
-    finite variance there, and its stderr is that of the sample.
+    Drawing them in the ball never gives a larger standard error for a
+    square-integrable f: with p = pi^n / (n! 4^n) the ball's share of its
+    cube and E the mean over the ball, M = p N ball draws have variance
+    V_c^2 (p E f^2 - p (E f)^2) / N, N cube draws V_c^2 (p E f^2 -
+    p^2 (E f)^2) / N, and an annulus fills a smaller share still.  The
+    pulled-back integrand is square-integrable only at n = 1, as det DF
+    grows like (rho/|x|)^(2n-2) at the origin.
     """
     return math.ceil(200_000 * math.pi ** n / (math.factorial(n) * 4 ** n))
 
@@ -232,10 +224,11 @@ def integrate_ball(h, radius, n, scheme="product-gauss", samples=None,
                    seed=MC_SEED):
     """Lebesgue integral of a quadratic Hamiltonian over the radius-ball.
 
-    product-gauss is exact for these integrands up to roundoff; its error
-    estimate compares against the half-order rule.  monte-carlo draws
-    uniform points in the ball, _default_samples(n) of them unless told,
-    and reports one standard error.
+    The mean over the ball times its volume.  product-gauss is exact for
+    these integrands up to roundoff while 2n - 1 < 2 GAUSS_ORDER; its
+    error estimate compares against the half-order rule.  monte-carlo
+    draws uniform points in the ball, _default_samples(n) of them unless
+    told, and reports one standard error.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -245,23 +238,23 @@ def integrate_ball(h, radius, n, scheme="product-gauss", samples=None,
     if len(h.weights) != n:
         raise ValueError("weight count must match n")
     if scheme == "product-gauss":
-        return _gauss_result(_gauss_shell(h, 0.0, radius, n, GAUSS_ORDER),
-                             _gauss_shell(h, 0.0, radius, n, GAUSS_ORDER // 2))
-    if scheme == "monte-carlo":
-        return _monte_carlo(lambda s, q: _sphere_values(h, s, q), h.weights,
+        mean = _gauss_ball(h, radius, n)
+    elif scheme == "monte-carlo":
+        mean = _monte_carlo(lambda s, q: _sphere_values(h, s, q), h.weights,
                             radius, samples, seed)
-    raise ValueError("scheme must be 'product-gauss' or 'monte-carlo'")
+    else:
+        raise ValueError("scheme must be 'product-gauss' or 'monte-carlo'")
+    return _lebesgue(mean, _ball_volume(n, radius))
 
 
 @functools.lru_cache(maxsize=32)
 def _pullback_rule(n, rho, delta, r, order):
-    """Nodes, weights, panel indices, beta(s), pullback weights and skipped.
+    """Panel indices, beta(s), pulled-back density and skipped node count.
 
     The part of _gauss_pullback that no Hamiltonian enters, cached
     read-only, so every check on one chart takes one profile evaluation
-    per order.  The pullback weight at node s is s^(2n-1) det DF, formed
-    as beta' beta^(2n-1): beta <= r, so no factor overflows, where
-    det DF alone grows like (rho/s)^(2n-2) at the origin.
+    per order.  The density at a node s of weight w is the r-ball's radial
+    density at beta(s) times det DF, w 2n beta' (beta/r)^(2n-1) / r.
     """
     params = LocalModelParams(n, rho, delta, r)
     cuts = (0.0, delta, r - delta, r)
@@ -272,25 +265,23 @@ def _pullback_rule(n, rho, delta, r, order):
     keep = s >= 1e-8 * r
     s, w, panel = s[keep], w[keep], panel[keep]
     beta = _profile_raw(s, params)
-    pulled = _profile_slope(s, beta, params) * beta ** (2 * n - 1)
-    for array in (s, w, panel, beta, pulled):
+    density = (w / r * (2 * n) * _profile_slope(s, beta, params)
+               * (beta / r) ** (2 * n - 1))
+    for array in (panel, beta, density):
         array.flags.writeable = False
-    return s, w, panel, beta, pulled, int(np.count_nonzero(~keep))
+    return panel, beta, density, int(np.count_nonzero(~keep))
 
 
 def _gauss_pullback(h, params, order):
-    """Integral of (H o F) |det DF| over the ball of radius r.
+    """Mean of (H o F) det DF over the ball of radius r, and skipped nodes.
 
-    Radial-angular factorization: the sphere average of H o F at radius s
-    is the sphere average of H at radius beta(s), and det DF is constant
-    on spheres by unitary equivariance, beta' (beta/s)^(2n-1), folded
-    with s^(2n-1) into the cached pullback weight.  Panels split at the
-    smoothstep kinks, where the profile is only C^2.
+    The sphere average of H o F at radius s is that of H at radius
+    beta(s).  Panels split at the smoothstep kinks, where the profile is
+    only C^2.
     """
-    s, w, panel, beta, pulled, skipped = _pullback_rule(
+    panel, beta, density, skipped = _pullback_rule(
         params.n, params.rho, params.delta, params.r, order)
-    values = (w * _sphere_values(h, beta, h.weight_sum / params.n) * pulled
-              * _sphere_area(params.n))
+    values = density * _sphere_values(h, beta, h.weight_sum / params.n)
     total = sum(float(np.sum(values[panel == k])) for k in range(3))
     return total, skipped
 
@@ -299,48 +290,47 @@ def verify_annulus_pushforward(h, params, scheme="product-gauss", samples=None,
                                seed=MC_SEED):
     """Both sides of the chart change-of-variables identity, plus deviation.
 
-    Left: integral of (H o F) det DF over the punctured ball of radius r,
-    with det DF = beta'(s) (beta(s)/s)^(2n-1) in closed form at each
-    node's or sample's radius s; radii below 1e-8 r are skipped and
-    counted.  Right: integral of H over the annulus rho < |z| <= r, which
-    never touches the chart.  The two agree up to quadrature error only if
-    the profile's slope is its derivative and it runs from rho to r; the
-    returned deviation is relative to the right side's scale.  monte-carlo
-    draws each side in its own region, with its own seed, and
-    _default_samples(n) points unless told.
+    Left: integral of (H o F) det DF over the punctured ball of radius r;
+    radii below 1e-8 r are skipped and counted.  Right: integral of H over
+    the annulus rho < |z| <= r, which never touches the chart.  The
+    deviation compares their means over the r-ball, relative to the
+    right one.  monte-carlo draws each side in its own region, with its
+    own seed, and _default_samples(n) points unless told.
     """
     if len(h.weights) != params.n:
         raise ValueError("weight count must match n")
+    n, r, rho = params.n, params.r, params.rho
     if scheme == "product-gauss":
         half = GAUSS_ORDER // 2
-        left_value, skipped = _gauss_pullback(h, params, GAUSS_ORDER)
-        left = _gauss_result(left_value, _gauss_pullback(h, params, half)[0])
-        shell = lambda k: _gauss_shell(h, params.rho, params.r, params.n, k)
-        right = _gauss_result(shell(GAUSS_ORDER), shell(half))
+        mean, skipped = _gauss_pullback(h, params, GAUSS_ORDER)
+        left = _gauss_result(mean, _gauss_pullback(h, params, half)[0])
+        right = _gauss_result(_gauss_shell(h, r, rho, n, GAUSS_ORDER),
+                              _gauss_shell(h, r, rho, n, half))
     elif scheme == "monte-carlo":
         skipped = 0
 
         def pullback(radii, moments):
             # H o F = -pi beta(|x|)^2 q + c: the chart keeps directions
             nonlocal skipped
-            near = radii < 1e-8 * params.r
+            near = radii < 1e-8 * r
             skipped += int(np.count_nonzero(near))
             values = np.zeros(len(radii))
             s = radii[~near]
             beta = _profile_raw(s, params)
-            dets = (_profile_slope(s, beta, params)
-                    * (beta / s) ** (2 * params.n - 1))
+            dets = _profile_slope(s, beta, params) * (beta / s) ** (2 * n - 1)
             values[~near] = _sphere_values(h, beta, moments[~near]) * dets
             return values
 
-        left = _monte_carlo(pullback, h.weights, params.r, samples, seed)
+        left = _monte_carlo(pullback, h.weights, r, samples, seed)
         right = _monte_carlo(lambda s, q: _sphere_values(h, s, q), h.weights,
-                             params.r, samples, seed + 1, inner=params.rho)
+                             r, samples, seed + 1, inner=rho)
     else:
         raise ValueError("scheme must be 'product-gauss' or 'monte-carlo'")
-    deviation = _relative_deviation(left.value, right.value, h, params.r,
-                                    params.rho)
-    return AnnulusComparison(left, right, deviation, skipped)
+    deviation = _relative_deviation(left.value, right.value,
+                                    h.bound(r) * _shell_share(n, r, rho))
+    volume = _ball_volume(n, r)
+    return AnnulusComparison(_lebesgue(left, volume), _lebesgue(right, volume),
+                             deviation, skipped)
 
 
 def verify_normalized_lemma(h, params):
@@ -350,19 +340,19 @@ def verify_normalized_lemma(h, params):
     Hamiltonians supported in the radius-r ball the complement of the ball
     contributes identically to both sides and cancels, so the check
     reduces to: pulled-back integral over the punctured r-ball equals the
-    r-ball integral minus the rho-ball integral.  That cancellation also
-    removes the total-volume term, so no volume enters the deviation, and
-    both sides are deterministic product-gauss rules.
+    r-ball integral minus the rho-ball integral.  Each side is a
+    product-gauss mean over the r-ball, the rho-ball's counted with its
+    share (rho/r)^(2n), so no volume enters the deviation.
     """
+    n, r, rho = params.n, params.r, params.rho
     left, skipped = _gauss_pullback(h, params, GAUSS_ORDER)
-    outer = integrate_ball(h, params.r, params.n)
-    inner = integrate_ball(h, params.rho, params.n)
-    right = outer.value - inner.value
+    right = (_gauss_shell(h, r, 0.0, n, GAUSS_ORDER)
+             - (rho / r) ** (2 * n) * _gauss_shell(h, rho, 0.0, n, GAUSS_ORDER))
     return CheckResult(
         check="normalized-lemma",
         samples=GAUSS_ORDER,
-        max_deviation=_relative_deviation(left, right, h, params.r,
-                                          params.rho),
+        max_deviation=_relative_deviation(left, right, h.bound(r)
+                                          * _shell_share(n, r, rho)),
         tolerance=1e-4,
         skipped=skipped,
     )

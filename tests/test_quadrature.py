@@ -208,10 +208,12 @@ def test_annulus_pullback_at_n_60_stays_finite():
 
 @pytest.mark.parametrize("n", [30, 60])
 def test_integral_rows_report_the_true_deviation_at_large_n(n):
-    # every integral here lies far below 1e-12 at r = 1, so an absolute
-    # floor of 1e-12 would scale each row's true deviation, 3e-15 to
-    # 1.5e-14, down by |reference| / 1e-12: the annulus row to about 2e-20
-    # at n = 30 and 1e-54 at n = 60.  The relative floor keeps them true.
+    # every Lebesgue integral here lies far below 1e-12 at r = 1, so an
+    # absolute floor of 1e-12 on them would scale each row's true
+    # deviation, 3e-15 to 1.5e-14, down by |reference| / 1e-12: the
+    # annulus row to about 2e-20 at n = 30 and 1e-54 at n = 60.  The rows
+    # compare means over the ball, which stay near 1, with a floor
+    # relative to them, so each row is the unfloored deviation of its means
     params = LocalModelParams(n=n, rho=0.4, delta=0.2, r=1.0)
     h = LocalHamiltonian(weights=(1,) * n)
     manifold = ManifoldSpec(n=n, V=Fraction(1), a=Fraction(1))
@@ -221,21 +223,21 @@ def test_integral_rows_report_the_true_deviation_at_large_n(n):
                             seed=0)
     rows = {row.check: row.max_deviation
             for row in cli._verify_rows(manifest, params, "integrals")}
-    annulus = verify_annulus_pushforward(h, params)
-    lemma_right = (integrate_ball(h, 1.0, n).value
-                   - integrate_ball(h, 0.4, n).value)
-    expected = eval_at(ball_integral_closed_form(loop, manifold),
-                       math.pi * 0.4 ** 2)
+    left = quadrature._gauss_pullback(h, params, 32)[0]
+    right = quadrature._gauss_shell(h, 1.0, 0.4, n, 32)
+    lemma_right = (quadrature._gauss_shell(h, 1.0, 0.0, n, 32)
+                   - 0.4 ** (2 * n) * quadrature._gauss_shell(h, 0.4, 0.0,
+                                                               n, 32))
+    ball = quadrature._gauss_shell(h, 0.4, 0.0, n, 32)
+    expected = -n * math.pi * 0.4 ** 2 / (n + 1)  # the mean -K t / (n + 1)
     true = {
-        "annulus-pushforward:ones": (abs(annulus.left.value
-                                         - annulus.right.value)
-                                     / abs(annulus.right.value)),
-        "normalized-lemma:ones": (abs(annulus.left.value - lemma_right)
-                                  / abs(lemma_right)),
-        "ball-closed-form:ones": (abs(integrate_ball(h, 0.4, n).value
-                                      - expected) / abs(expected)),
+        "annulus-pushforward:ones": abs(left - right) / abs(right),
+        "normalized-lemma:ones": abs(left - lemma_right) / abs(lemma_right),
+        "ball-closed-form:ones": abs(ball - expected) / abs(expected),
     }
-    assert abs(annulus.right.value) < 1e-12 and abs(lemma_right) < 1e-12
+    annulus = verify_annulus_pushforward(h, params)
+    assert (abs(annulus.right.value) < 1e-12
+            and abs(integrate_ball(h, 0.4, n).value) < 1e-12)
     for check, deviation in true.items():
         assert deviation > 0.0
         assert abs(rows[check] - deviation) <= 0.01 * deviation
@@ -250,7 +252,10 @@ def test_annulus_monte_carlo_scheme():
     assert abs(left.value - right.value) <= 3 * (left.error_estimate
                                                  + right.error_estimate)
     gauss_value = math.pi ** 2 * (1 - 0.3 ** 4) / 2
-    assert abs(right.value - gauss_value) <= 3 * right.error_estimate
+    # a constant's mean is exact, and its standard error 0; the volume,
+    # formed from logarithms, meets the closed form to roundoff
+    assert abs(right.value - gauss_value) <= (3 * right.error_estimate
+                                              + 1e-14 * gauss_value)
 
 
 def test_annulus_bad_scheme():
@@ -285,15 +290,22 @@ def test_normalized_lemma_zero():
 
 
 def test_normalized_lemma_shares_the_annulus_pullback():
-    # the lemma's pulled-back side is the annulus check's left value, bit
+    # the lemma's pulled-back side is the annulus check's left mean, bit
     # for bit, so its deviation is rebuilt exactly from that and the balls
     params = LocalModelParams(n=3, rho=0.35, delta=0.15, r=0.9)
     h = LocalHamiltonian(weights=(2, -1, 3), c=0.4)
-    left = verify_annulus_pushforward(h, params).left.value
-    right = (integrate_ball(h, params.r, 3).value
-             - integrate_ball(h, params.rho, 3).value)
+    left = quadrature._gauss_pullback(h, params, 32)[0]
+    volume = quadrature._ball_volume(3, params.r)
+    assert verify_annulus_pushforward(h, params).left.value == left * volume
+    right = (quadrature._gauss_shell(h, params.r, 0.0, 3, 32)
+             - (params.rho / params.r) ** 6
+             * quadrature._gauss_shell(h, params.rho, 0.0, 3, 32))
     lemma = verify_normalized_lemma(h, params)
-    assert lemma.max_deviation == abs(left - right) / max(abs(right), 1e-12)
+    assert lemma.max_deviation == abs(left - right) / abs(right)
+    # and the balls' means times their volumes are integrate_ball's values
+    outer = integrate_ball(h, params.r, 3).value
+    inner = integrate_ball(h, params.rho, 3).value
+    assert (outer - inner) / volume == pytest.approx(right, rel=1e-13)
 
 
 def test_verify_integrals_build_one_jacobian_per_order(monkeypatch):
@@ -353,8 +365,11 @@ def test_monte_carlo_pullback_matches_closed_form_determinant(n, seed):
         dets = slope * (value / radii) ** (2 * n - 1)
         return (-math.pi * value * value * moments + h.c) * dets
 
-    exact = quadrature._monte_carlo(closed_form_pullback, h.weights,
-                                    params.r, None, seed)
+    # _monte_carlo returns the mean over the r-ball; the left side is that
+    # mean times the ball's volume
+    mean = quadrature._monte_carlo(closed_form_pullback, h.weights,
+                                   params.r, None, seed)
+    exact = quadrature._lebesgue(mean, quadrature._ball_volume(n, params.r))
     assert abs(left.value - exact.value) <= 1e-6 * exact.error_estimate
 
 
