@@ -325,13 +325,15 @@ def cmd_rank(manifest):
 
 
 def _beta_invariants_check(params):
-    """Endpoint exactness and slope bounds as one report row."""
+    """Endpoint exactness and slope bounds as one report row.
+
+    One profile call on k r / grid for k = 0, ..., grid gives both
+    endpoint values and the grid slopes past the origin.
+    """
     grid = 10_000
-    value0, _ = beta_profile(0.0, params)
-    value_r, _ = beta_profile(params.r, params)
-    s = np.linspace(params.r / grid, params.r, grid)
-    _, slope = beta_profile(s, params)
-    deviation = np.max([abs(value0 - params.rho), abs(value_r - params.r),
+    value, slope = beta_profile(np.linspace(0.0, params.r, grid + 1), params)
+    slope = slope[1:]
+    deviation = np.max([abs(value[0] - params.rho), abs(value[-1] - params.r),
                         np.max(slope) - 1.0, -np.min(slope), 0.0])
     return CheckResult(check="beta-profile", samples=grid,
                        max_deviation=float(deviation), tolerance=1e-12)

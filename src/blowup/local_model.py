@@ -51,14 +51,30 @@ Gaussian directions) and radii with weighted direction moments
 (_shell_moments, from the Dirichlet law of a uniform direction's squared
 moduli), which quadrature.py takes with the profile and its slope.
 Checks run over all their seeded samples at once; a map given to
-symplectic_pullback_check as a callable of one point goes through the
+symplectic_pullback_check as a matrix is applied to all of them with one
+product, points @ matrix.T, and a callable of one point goes through the
 row loop _rows.  Deviations are reduced with np.max, so a NaN sample
 gives a NaN deviation, which never passes, and a check that samples
 nothing fails.
+
+Each chart check splits into a seeded frame and a per-loop evaluation.
+The frame is what depends only on the model, the sample count and the
+seed: the s1 points and their turned copies (_s1_frame), the divisor's
+chart and divisor points (_divisor_frame), the pullback's kept points,
+chart images and skipped count (_pullback_frame), and the vector-field
+points, chart images and chart Jacobian (_vector_field_frame).  Each
+builder keeps its last frame, keyed by (params, count, seed) through
+LocalModelParams' value equality and hash, and returns read-only arrays,
+so every loop of one verify run draws, charts and differentiates the
+chart once.  An explicit grid given to symplectic_pullback_check goes
+through the same frame code (_pullback_points) but is not cached.  A
+seed is an integer, so that a frame is a function of its key.  The
+reference matrix J is built once per n (_reference_j), read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -93,7 +109,11 @@ def _smoothstep_prime(u):
 
 
 class LocalModelParams:
-    """Profile and chart parameters (n, rho, delta, r), validated."""
+    """Profile and chart parameters (n, rho, delta, r), validated.
+
+    Equal and hashed by value, so a model keys the cached frames and
+    quadrature rules; floats compare exactly.
+    """
 
     __slots__ = ("n", "rho", "delta", "r")
 
@@ -127,6 +147,17 @@ class LocalModelParams:
     @property
     def width(self):
         return self.r - 2 * self.delta
+
+    def _key(self):
+        return (self.n, self.rho, self.delta, self.r)
+
+    def __eq__(self, other):
+        if not isinstance(other, LocalModelParams):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __repr__(self):
         return "LocalModelParams(n=%d, rho=%g, delta=%g, r=%g)" % (
@@ -200,15 +231,18 @@ def beta_profile(s, params):
 
 
 def _realify(points):
-    """(..., n) complex -> (..., 2n) real, ordered (x_1, y_1, ..., x_n, y_n)."""
-    out = np.empty(points.shape[:-1] + (2 * points.shape[-1],))
-    out[..., 0::2] = points.real
-    out[..., 1::2] = points.imag
-    return out
+    """(..., n) complex -> (..., 2n) real, ordered (x_1, y_1, ..., x_n, y_n).
+
+    A complex number is stored as its real and imaginary parts, so this
+    is a view of contiguous complex rows, copied only when they are not;
+    it shares memory with its input, and so does _complexify.
+    """
+    return np.ascontiguousarray(points, dtype=complex).view(float)
 
 
 def _complexify(coords):
-    return coords[..., 0::2] + 1j * coords[..., 1::2]
+    """(..., 2n) real -> (..., n) complex, the inverse view of _realify."""
+    return np.ascontiguousarray(coords, dtype=float).view(complex)
 
 
 def _chart(coords, params):
@@ -436,25 +470,60 @@ def _shell_moments(rng, count, weights, radius, inner=0.0):
     return radii, sums[:, 1] / sums[:, 0]
 
 
+def _frozen(*arrays):
+    """The arrays, made read-only, as a tuple: a frame shared by callers."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=1)
+def _reference_j(n):
+    """The reference symplectic matrix J on R^(2n), read-only."""
+    return _frozen(np.kron(np.eye(n), [[0.0, 1.0], [-1.0, 0.0]]))[0]
+
+
+@functools.lru_cache(maxsize=1)
+def _s1_frame(params, samples, seed):
+    """Seeded points of the r-ball and their copies turned by unit scalars."""
+    rng = np.random.default_rng(seed)
+    points = _complexify(_shell_samples(rng, samples, params.n, params.r))
+    phases = np.exp(2j * math.pi * rng.random(samples))
+    return _frozen(points, phases[:, None] * points)
+
+
 def s1_invariance_check(h, params, samples=1000, seed=0):
     """Max of |H(z) - H(lambda z)| over random z and unit scalars lambda.
 
-    h is a LocalHamiltonian, its dimension read off its weights; the
-    points fill the r-ball of params.  Circle-type Hamiltonians are
-    invariant up to roundoff; anything else is reported with the deviation
-    it produces.
+    h is a LocalHamiltonian with params.n weights; the points fill the
+    r-ball of params.  Circle-type Hamiltonians are invariant up to
+    roundoff; anything else is reported with the deviation it produces.
     """
-    rng = np.random.default_rng(seed)
-    points = _complexify(_shell_samples(rng, samples, len(h.weights),
-                                        params.r))
-    phases = np.exp(2j * math.pi * rng.random(samples))
-    gaps = np.abs(h.values(points) - h.values(phases[:, None] * points))
+    points, turned = _s1_frame(params, samples, seed)
+    gaps = np.abs(h.values(points) - h.values(turned))
     return CheckResult(
         check="s1-invariance",
         samples=samples,
         max_deviation=float(np.max(gaps, initial=0.0)),
         tolerance=1e-12,
     )
+
+
+def _pullback_points(points, params):
+    """A pullback grid's points off the origin, their chart images as real
+    rows, and the count of points with |z| < 1e-8 r, which are skipped."""
+    near = np.linalg.norm(points, axis=-1) < 1e-8 * params.r
+    points = points[~near]
+    return _frozen(points, _chart(_realify(points), params)) + (
+        int(np.count_nonzero(near)),)
+
+
+@functools.lru_cache(maxsize=1)
+def _pullback_frame(params, count, seed):
+    """_pullback_points of count seeded points of the r-ball."""
+    rng = np.random.default_rng(seed)
+    return _pullback_points(
+        _complexify(_shell_samples(rng, count, params.n, params.r)), params)
 
 
 def symplectic_pullback_check(map_fn, params, reference_form="blowup",
@@ -485,22 +554,19 @@ def symplectic_pullback_check(map_fn, params, reference_form="blowup",
         matrix = np.asarray(map_fn, dtype=complex)
         if matrix.shape != (n, n):
             raise ValueError("map_fn must be a callable or an (n, n) matrix")
-        # a stack of matrix-vector products, bit for bit matrix @ z per row
-        apply = lambda points: (matrix @ points[..., None])[..., 0]
+        apply = lambda points: points @ matrix.T
     if isinstance(grid, (int, np.integer)):
-        rng = np.random.default_rng(seed)
-        points = _complexify(_shell_samples(rng, int(grid), n, params.r))
+        points, charted, skipped = _pullback_frame(params, int(grid), seed)
     else:
-        points = np.asarray(grid, dtype=complex)
-    near = np.linalg.norm(points, axis=-1) < 1e-8 * params.r
-    points = points[~near]
+        points, charted, skipped = _pullback_points(
+            np.asarray(grid, dtype=complex), params)
     extras = {"symplectic": 0.0}
     if reference_form == "blowup":
         extras["conjugation"] = 0.0
     if len(points):
         coords = _realify(points)
         if reference_form == "blowup":
-            coords = _chart(coords, params)
+            coords = charted
             images = apply(points)
             moved = np.linalg.norm(images, axis=-1) != 0.0
             gaps = np.full(len(points), math.inf)
@@ -508,18 +574,32 @@ def symplectic_pullback_check(map_fn, params, reference_form="blowup",
                 _complexify(_chart(_realify(images[moved]), params))
                 - apply(_complexify(coords))[moved]), axis=-1)
             extras["conjugation"] = float(np.max(gaps))
-        J = np.kron(np.eye(n), [[0.0, 1.0], [-1.0, 0.0]])
+        J = _reference_j(n)
         jac = _jacobian(lambda x: _realify(apply(_complexify(x))), coords)
-        extras["symplectic"] = float(np.max(np.abs(
-            np.swapaxes(jac, 1, 2) @ J @ jac - J)))
+        # D^T J D - J formed in place, one (N, 2n, 2n) temporary beside jac
+        gram = np.swapaxes(jac, 1, 2) @ J @ jac
+        gram -= J
+        extras["symplectic"] = float(np.max(np.abs(gram, out=gram)))
     return CheckResult(
         check="symplectic-pullback",
         samples=len(points),
         max_deviation=float(np.max(list(extras.values()))),
         tolerance=1e-8,
-        skipped=int(np.count_nonzero(near)),
+        skipped=skipped,
         extras=extras,
     )
+
+
+@functools.lru_cache(maxsize=1)
+def _vector_field_frame(params, samples, seed):
+    """Seeded points of the shell r/10 <= |x| <= r as real rows, the points
+    and their chart images stacked as one complex (2, N, n) array, and the
+    chart Jacobian at the points."""
+    rng = np.random.default_rng(seed)
+    coords = _shell_samples(rng, samples, params.n, params.r, params.r / 10.0)
+    chart = lambda x: _chart(x, params)
+    return _frozen(coords, _complexify(np.stack([coords, chart(coords)])),
+                   _jacobian(chart, coords))
 
 
 def vector_field_relation_check(loop, params, samples=200, seed=0):
@@ -540,18 +620,16 @@ def vector_field_relation_check(loop, params, samples=200, seed=0):
     Samples stay at radius >= r/10, where the finite-difference error of
     DF is far below the 1e-6 tolerance.
     """
-    rng = np.random.default_rng(seed)
-    coords = _shell_samples(rng, samples, params.n, params.r, params.r / 10.0)
-    chart = lambda x: _chart(x, params)
+    coords, stacked, chart_jac = _vector_field_frame(params, samples, seed)
     # one call serves both the chart points and their images
-    fields = loop.vector_field(_complexify(np.stack([coords, chart(coords)])))
-    push = _jacobian(chart, coords) @ _realify(fields[0])[..., None]
+    fields = loop.vector_field(stacked)
+    push = chart_jac @ _realify(fields[0])[..., None]
     h = LocalHamiltonian(loop.weights)
     grad = _jacobian(lambda x: h.values(_complexify(x))[:, None], coords)
     # the gradient row times J is (-dH/dy_j, dH/dx_j) per coordinate
-    J = np.kron(np.eye(params.n), [[0.0, 1.0], [-1.0, 0.0]])
     gaps = {"pushforward": push[..., 0] - _realify(fields[1]),
-            "hamiltonian": (grad @ J)[:, 0] - _realify(fields[0])}
+            "hamiltonian": (grad @ _reference_j(params.n))[:, 0]
+            - _realify(fields[0])}
     extras = {key: float(np.max(np.abs(gap), initial=0.0))
               for key, gap in gaps.items()}
     return CheckResult(
@@ -563,22 +641,29 @@ def vector_field_relation_check(loop, params, samples=200, seed=0):
     )
 
 
+@functools.lru_cache(maxsize=1)
+def _divisor_frame(params, seed):
+    """64 seeded unit directions w, read at the chart point 1e-6 w and on
+    the divisor at rho w."""
+    rng = np.random.default_rng(seed)
+    draws = rng.standard_normal((64, 2, params.n))
+    w = draws[:, 0] + 1j * draws[:, 1]
+    w = w / np.linalg.norm(w, axis=-1, keepdims=True)
+    return _frozen(_complexify(_chart(_realify(1e-6 * w), params)),
+                   params.rho * w)
+
+
 def divisor_continuity_check(h, params, seed=0):
     """Radial limit of the chart branch against the divisor branch.
 
     h is a LocalHamiltonian.  Each of 64 directions w is read at the chart
     point 1e-6 w and on the divisor at rho w.
     """
-    directions = 64
-    rng = np.random.default_rng(seed)
-    draws = rng.standard_normal((directions, 2, params.n))
-    w = draws[:, 0] + 1j * draws[:, 1]
-    w = w / np.linalg.norm(w, axis=-1, keepdims=True)
-    inner = h.values(_complexify(_chart(_realify(1e-6 * w), params)))
-    gaps = np.abs(inner - h.values(params.rho * w))
+    inner, divisor = _divisor_frame(params, seed)
+    gaps = np.abs(h.values(inner) - h.values(divisor))
     return CheckResult(
         check="divisor-continuity",
-        samples=directions,
+        samples=len(divisor),
         max_deviation=float(np.max(gaps, initial=0.0)),
         tolerance=1e-8,
     )

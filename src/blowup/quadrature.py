@@ -24,7 +24,8 @@ a ball or an annulus, as radii and direction moments (_shell_moments),
 in seeded deterministic blocks; the sample mean times the region's share
 is the mean over the ball.  For a square-integrable integrand its default
 count never has a larger standard error than the 200k cube draws it
-replaced (_default_samples).
+replaced, and it is at least 1,024 (_default_samples); fewer than two
+draws report an infinite error.
 
 The pushforward checks take the mean of H over the annulus rho < |z| <= r
 directly, and pulled back through the radial chart F(x) = beta(|x|) x/|x|
@@ -51,8 +52,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .local_model import (CheckResult, LocalModelParams, _profile_raw,
-                          _profile_slope, _shell_moments)
+from .local_model import (CheckResult, _profile_raw, _profile_slope,
+                          _shell_moments)
 
 __all__ = [
     "IntegralResult",
@@ -65,6 +66,8 @@ __all__ = [
 
 MC_SEED = 0xC0FFEE
 _MC_BLOCKS = 16
+# the least default Monte-Carlo count, 64 draws per block
+_MC_MIN_SAMPLES = 1024
 # product-gauss nodes per panel; the error estimate compares against the
 # half-order rule
 GAUSS_ORDER = 32
@@ -192,8 +195,9 @@ def _monte_carlo(integrand, weights, radius, samples, seed, inner=0.0):
     share = _shell_share(n, radius, inner)
     mean = total / samples
     variance = max(total_sq / samples - mean * mean, 0.0)
-    return IntegralResult(share * mean, share * math.sqrt(variance / samples),
-                          "monte-carlo", samples)
+    # one draw has a sample variance of 0, which bounds nothing
+    error = math.sqrt(variance / samples) if samples > 1 else math.inf
+    return IntegralResult(share * mean, share * error, "monte-carlo", samples)
 
 
 def _relative_deviation(value, reference, size):
@@ -215,9 +219,12 @@ def _default_samples(n):
     V_c^2 (p E f^2 - p (E f)^2) / N, N cube draws V_c^2 (p E f^2 -
     p^2 (E f)^2) / N, and an annulus fills a smaller share still.  The
     pulled-back integrand is square-integrable only at n = 1, as det DF
-    grows like (rho/|x|)^(2n-2) at the origin.
+    grows like (rho/|x|)^(2n-2) at the origin.  p is formed from
+    logarithms, so no factorial is a float, and the count never falls
+    below _MC_MIN_SAMPLES, which it reaches from n = 5 on.
     """
-    return math.ceil(200_000 * math.pi ** n / (math.factorial(n) * 4 ** n))
+    share = math.exp(n * math.log(math.pi / 4.0) - math.lgamma(n + 1))
+    return max(_MC_MIN_SAMPLES, math.ceil(200_000 * share))
 
 
 def integrate_ball(h, radius, n, scheme="product-gauss", samples=None,
@@ -248,15 +255,16 @@ def integrate_ball(h, radius, n, scheme="product-gauss", samples=None,
 
 
 @functools.lru_cache(maxsize=32)
-def _pullback_rule(n, rho, delta, r, order):
+def _pullback_rule(params, order):
     """Panel indices, beta(s), pulled-back density and skipped node count.
 
     The part of _gauss_pullback that no Hamiltonian enters, cached
-    read-only, so every check on one chart takes one profile evaluation
-    per order.  The density at a node s of weight w is the r-ball's radial
-    density at beta(s) times det DF, w 2n beta' (beta/r)^(2n-1) / r.
+    read-only per model (LocalModelParams hashes by value) and order, so
+    every check on one chart takes one profile evaluation per order.  The
+    density at a node s of weight w is the r-ball's radial density at
+    beta(s) times det DF, w 2n beta' (beta/r)^(2n-1) / r.
     """
-    params = LocalModelParams(n, rho, delta, r)
+    n, delta, r = params.n, params.delta, params.r
     cuts = (0.0, delta, r - delta, r)
     # all panels share one profile call; each panel still sums on its own
     s, w = np.concatenate([_gauss_nodes(a, b, order)
@@ -279,8 +287,7 @@ def _gauss_pullback(h, params, order):
     beta(s).  Panels split at the smoothstep kinks, where the profile is
     only C^2.
     """
-    panel, beta, density, skipped = _pullback_rule(
-        params.n, params.rho, params.delta, params.r, order)
+    panel, beta, density, skipped = _pullback_rule(params, order)
     values = density * _sphere_values(h, beta, h.weight_sum / params.n)
     total = sum(float(np.sum(values[panel == k])) for k in range(3))
     return total, skipped

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from blowup import cli
+from blowup import cli, local_model
 from blowup.exact_field import eval_at, parse_taurat
 from blowup.weinstein import CircleLoopSpec, ManifoldSpec, lift_value_circle
 
@@ -190,6 +190,57 @@ def test_verify_group_choices_cover_contract(tmp_path, capsys):
         assert cli.main(["verify", path, "--check", which]) == 0
         rows = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert rows and all(row["pass"] for row in rows)
+
+
+# a loop with every weight 0, one with C = 0 and one with a negative C
+FRAME_LOOPS = [{"name": "still", "weights": [0, 0], "C": "1/3"},
+               {"name": "flat", "weights": [1, 2], "C": "0"},
+               {"name": "below", "weights": [3, -1], "C": "-5/7"}]
+
+
+def verify_rows_with_fresh_frames(tmp_path, capsys, loops, name):
+    for builder in (local_model._s1_frame, local_model._divisor_frame,
+                    local_model._pullback_frame,
+                    local_model._vector_field_frame):
+        builder.cache_clear()
+    payload = base_manifest()
+    payload.update(loops=loops, seed=5)
+    path = write_manifest(tmp_path, payload, name=name)
+    assert cli.main(["verify", path, "--check", "all"]) == 0
+    return json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+
+
+def test_verify_draws_and_charts_once_per_manifest(tmp_path, capsys,
+                                                   monkeypatch):
+    # every loop reads the chart at the same seeded samples: one draw for
+    # each of the s1, pullback and vector-field frames and one chart
+    # Jacobian per manifest, then one unitary Jacobian and one gradient
+    # per loop
+    draws, jacobians = [], []
+    shell_samples, jacobian = local_model._shell_samples, local_model._jacobian
+
+    def counting_draw(*args, **kwargs):
+        draws.append(args[1])
+        return shell_samples(*args, **kwargs)
+
+    def counting_jacobian(real_map, coords):
+        jacobians.append(len(coords))
+        return jacobian(real_map, coords)
+
+    monkeypatch.setattr(local_model, "_shell_samples", counting_draw)
+    monkeypatch.setattr(local_model, "_jacobian", counting_jacobian)
+    rows = verify_rows_with_fresh_frames(tmp_path, capsys, FRAME_LOOPS,
+                                         "three.json")
+    assert len(rows) == 1 + 7 * len(FRAME_LOOPS)
+    assert sorted(draws) == [120, 150, 500]
+    assert len(jacobians) == 1 + 2 * len(FRAME_LOOPS)
+    # each loop's rows are bit for bit those of a manifest of it alone
+    for loop in FRAME_LOOPS:
+        alone = verify_rows_with_fresh_frames(tmp_path, capsys, [loop],
+                                              loop["name"] + ".json")
+        assert alone[0] == rows[0]
+        assert alone[1:] == [row for row in rows
+                             if row["check"].endswith(":" + loop["name"])]
 
 
 def test_verify_requires_local_model(tmp_path, capsys):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from blowup import local_model
 from blowup.local_model import (
     FD_STEP,
     CheckResult,
@@ -688,6 +689,46 @@ def test_vector_field_relation_nan_scale_fails(monkeypatch):
                                          params_n2(rho=0.4), samples=40,
                                          seed=4)
     assert_fails_closed(result)
+
+
+# -------------------------------------------------------------------- frames
+
+
+def test_params_are_equal_and_hashed_by_value():
+    p = LocalModelParams(n=2, rho=0.4, delta=0.2, r=1.0)
+    q = LocalModelParams(n=2.0, rho="0.4", delta=0.2, r=1)
+    assert p == q and hash(p) == hash(q)
+    assert p != LocalModelParams(n=2, rho=math.nextafter(0.4, 1.0),
+                                 delta=0.2, r=1.0)
+    assert p != LocalModelParams(n=3, rho=0.4, delta=0.2, r=1.0)
+    assert p != (2, 0.4, 0.2, 1.0)
+    # so an equal model finds the frame that another one built
+    assert local_model._s1_frame(p, 20, 3) is local_model._s1_frame(q, 20, 3)
+
+
+def test_frames_are_read_only():
+    p = params_n2(rho=0.4)
+    grid = np.array([[0.3 + 0.1j, 0.2j], [0.0, 0.0]])
+    frames = [local_model._s1_frame(p, 20, 3),
+              local_model._divisor_frame(p, 3),
+              local_model._pullback_frame(p, 20, 3)[:2],
+              local_model._pullback_points(grid, p)[:2],
+              local_model._vector_field_frame(p, 20, 3),
+              [local_model._reference_j(2)]]
+    for frame in frames:
+        for array in frame:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
+
+def test_explicit_grid_is_not_cached():
+    p = params_n2(rho=0.4)
+    pts = np.array([[0.3 + 0.1j, 0.2j], [0.5, 0.1 - 0.2j]])
+    local_model._pullback_frame.cache_clear()
+    symplectic_pullback_check(np.eye(2), p, grid=pts)
+    assert local_model._pullback_frame.cache_info().currsize == 0
+    # the grid's own array is left as it was
+    pts[0, 0] = 1.0
 
 
 # ------------------------------------------------------------------ reporting

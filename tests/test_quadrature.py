@@ -647,15 +647,27 @@ def test_shell_moments_follow_the_uniform_direction_law(n, inner):
 
 
 def test_default_sample_count():
-    # the expected in-ball share of 200k cube draws, rounded up
-    assert [quadrature._default_samples(n) for n in (1, 2, 3, 4)] == [
-        157_080, 61_686, 16_150, 3_171]
+    # the expected in-ball share of 200k cube draws, rounded up, and never
+    # below 1,024: that share is 0.72 draws at n = 8, and 171! is no float
+    assert [quadrature._default_samples(n) for n in (1, 2, 3, 4, 8, 171)] == [
+        157_080, 61_686, 16_150, 3_171, 1_024, 1_024]
     h = LocalHamiltonian(weights=(1, 2, 3))
     params = LocalModelParams(n=3, rho=0.3, delta=0.2, r=1.0)
     mc = verify_annulus_pushforward(h, params, scheme="monte-carlo")
     assert mc.left.samples_or_order == mc.right.samples_or_order == 16_150
     ball = integrate_ball(h, 0.5, 3, scheme="monte-carlo")
     assert ball.samples_or_order == 16_150
+
+
+def test_monte_carlo_default_count_fails_closed_at_n_8():
+    # one draw used to be the default from n = 8 on, with an error of 0.0
+    h = LocalHamiltonian(weights=(1,) * 8, c=0.3)
+    ball = integrate_ball(h, 0.5, 8, scheme="monte-carlo")
+    exact = integrate_ball(h, 0.5, 8).value
+    assert ball.error_estimate > 0
+    assert abs(ball.value - exact) <= 5 * ball.error_estimate
+    single = integrate_ball(h, 0.5, 8, scheme="monte-carlo", samples=1)
+    assert single.error_estimate == math.inf
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
