@@ -332,9 +332,29 @@ def _divide(p, q, want_quotient):
     return _canonical(quo, den), remainder
 
 
+# the product of three word-size primes
+_MODULUS = (2 ** 61 - 1) * (2 ** 32 - 5) * (2 ** 31 - 1)
+
+
+def _root_residue(ints, p, q):
+    """_horner's value sum_i ints[i] p**i q**(m-i) modulo _MODULUS."""
+    value, scale, run = ints[-1], 1, 0
+    for i in range(len(ints) - 2, -1, -1):
+        run += 1
+        if ints[i]:
+            scale = scale * pow(q, run, _MODULUS) % _MODULUS
+            value = (value * pow(p, run, _MODULUS) + ints[i] * scale) % _MODULUS
+            run = 0
+    return value * pow(p, run, _MODULUS) % _MODULUS
+
+
 def poly_gcd(p, q):
     """Monic greatest common divisor of two polynomials over Q."""
     while not q.is_zero:
+        # by a linear q a nonzero residue of p(root) leaves the gcd 1
+        if (q.degree == 1 and p._ints
+                and _root_residue(p._ints, -q._ints[0], q._ints[1])):
+            return _raw((1,), 1)
         p, q = q, p % q
         if not q.is_zero:
             q = q.monic()  # keep coefficient growth in check

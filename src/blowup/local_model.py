@@ -46,10 +46,10 @@ central-difference Jacobian _jacobian of a batched real map, called on
 all "+step" and then all "-step" copies of the rows into a C-contiguous
 array (the @ products of the checks round differently on a transposed
 view), LocalHamiltonian.values, and two uniform ball-or-shell draws that
-share one radius law, _shell_radii: points (_shell_samples, from
-Gaussian directions) and radii with weighted direction moments
-(_shell_moments, from the Dirichlet law of a uniform direction's squared
-moduli), which quadrature.py takes with the profile and its slope.
+share one radius law, _shell_powers: points (_shell_samples, from
+Gaussian directions) and powers (|x|/radius)^(2n) with weighted direction
+moments (_shell_moments, from the Dirichlet law of a uniform direction's
+squared moduli), which quadrature.py takes with the profile and its slope.
 Checks run over all their seeded samples at once; a map given to
 symplectic_pullback_check as a matrix is applied to all of them with one
 product, points @ matrix.T, and a callable of one point goes through the
@@ -428,14 +428,12 @@ class UnitaryLoop:
         return -2j * math.pi * weights * np.asarray(z, dtype=complex)
 
 
-def _shell_radii(rng, count, n, radius, inner=0.0):
-    """(count,) radii of uniform points in the shell inner <= |x| <= radius.
-
-    The radius is the one at which |x|^(2n) is uniform on
-    [inner^(2n), radius^(2n)] (Marsaglia 1972), from one uniform per draw.
-    """
+def _shell_powers(rng, count, n, radius, inner=0.0):
+    """(count,) powers (|x|/radius)^(2n) of uniform points of the shell
+    inner <= |x| <= radius: uniform on [(inner/radius)^(2n), 1] (Marsaglia
+    1972), one uniform per draw."""
     low = (inner / radius) ** (2 * n)
-    return radius * (low + (1.0 - low) * rng.random(count)) ** (0.5 / n)
+    return low + (1.0 - low) * rng.random(count)
 
 
 def _shell_samples(rng, count, n, radius, inner=0.0):
@@ -446,28 +444,29 @@ def _shell_samples(rng, count, n, radius, inner=0.0):
     the radii.
     """
     directions = rng.standard_normal((count, 2 * n))
-    radii = _shell_radii(rng, count, n, radius, inner)
+    radii = radius * _shell_powers(rng, count, n, radius, inner) ** (0.5 / n)
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     return directions * radii[:, None]
 
 
 def _shell_moments(rng, count, weights, radius, inner=0.0):
-    """Radii |x| and moments sum_j w_j |x_j|^2 / |x|^2 of a shell draw.
+    """Powers (|x|/radius)^(2n) and moments sum_j w_j |x_j|^2 / |x|^2.
 
     The two numbers a circle-type Hamiltonian reads of a uniform point of
     the shell: H(x) is -pi |x|^2 q + c with q the weighted moment of the
-    direction u.  For u uniform on the sphere of C^n the squared moduli
-    (|u_1|^2, ..., |u_n|^2) are Dirichlet(1, ..., 1), the law of E_j / sum E
-    for independent standard exponentials E_j, and independent of the
-    radius (Devroye 1986, ch. XI).  So n exponentials per draw, taken
-    before the radii, give q as one small product E @ [1, w] and one
+    direction u, and |x| is radius times the power's 2n-th root.  For u
+    uniform on the sphere of C^n the squared moduli (|u_1|^2, ...,
+    |u_n|^2) are Dirichlet(1, ..., 1), the law of E_j / sum E for
+    independent standard exponentials E_j, and independent of the radius
+    (Devroye 1986, ch. XI).  So n exponentials per draw, taken
+    before the powers, give q as one small product E @ [1, w] and one
     divide per row, with no direction ever formed.
     """
     weights = np.asarray(weights, dtype=float)
     draws = rng.standard_exponential((count, len(weights)))
-    radii = _shell_radii(rng, count, len(weights), radius, inner)
+    powers = _shell_powers(rng, count, len(weights), radius, inner)
     sums = draws @ np.stack([np.ones(len(weights)), weights], axis=1)
-    return radii, sums[:, 1] / sums[:, 0]
+    return powers, sums[:, 1] / sums[:, 0]
 
 
 def _frozen(*arrays):

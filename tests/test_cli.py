@@ -1,6 +1,7 @@
 """End-to-end tests of the manifest-driven command line."""
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -344,6 +345,48 @@ def test_verify_at_n_60_is_finite_and_passes(tmp_path, capsys):
     assert len(rows) == 8
     assert all(math.isfinite(row["max_deviation"]) and row["pass"]
                for row in rows)
+
+
+def large_manifest(n):
+    """Two loops on base_manifest's model: weights 1 with C = 0, and mixed
+    weights with C = 2/3."""
+    payload = base_manifest()
+    payload["manifold"]["n"] = n
+    payload["loops"] = [
+        {"name": "ones", "weights": [1] * n, "C": "0"},
+        {"name": "mixed", "weights": [(-1) ** j * (j % 3 + 1)
+                                      for j in range(n)], "C": "2/3"},
+    ]
+    return payload
+
+
+@pytest.mark.parametrize("n", [200, 400])
+def test_verify_integrals_pass_at_large_n(tmp_path, capsys, n):
+    # the 32-node Legendre rule that stood in for the exact ball and
+    # annulus means missed the ball mean by 1.5e-5 at n = 200
+    path = write_manifest(tmp_path, large_manifest(n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["verify", path, "--check", "integrals"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = json.loads(captured.out.splitlines()[-1])
+    assert len(rows) == 6
+    assert all(math.isfinite(row["max_deviation"]) and row["pass"]
+               for row in rows)
+
+
+@pytest.mark.parametrize("n", [200, 1000, 5000])
+def test_ball_closed_form_row_reads_roundoff_at_large_n(tmp_path, capsys, n):
+    # the ball mean is exact at every n; from n = 900 or so the pullback
+    # rows fail on their Legendre panels, so only the ball rows are read
+    path = write_manifest(tmp_path, large_manifest(n))
+    cli.main(["verify", path, "--check", "integrals"])
+    rows = json.loads(capsys.readouterr().out.splitlines()[-1])
+    ball = [row for row in rows if row["check"].startswith("ball-closed-form")]
+    assert len(ball) == 2
+    assert all(row["samples"] == 1 and row["max_deviation"] <= 1e-12
+               for row in ball)
 
 
 @pytest.mark.parametrize("n", [2, 30, 100])
@@ -766,17 +809,14 @@ def test_main_builds_the_parser_once(tmp_path, capsys, monkeypatch):
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 
 
-def wide_manifest(n):
-    """One loop "main" of n weights 1 and C = 0 on base_manifest's model.
-
-    From n = 32 on the 32-node Gauss rule no longer integrates the radial
-    density 2n s^(2n-1) exactly; at n = 200 the ball-closed-form row
-    misses by 1.5e-5, past its tolerance, so verify exits 1 at any scale.
-    """
-    payload = base_manifest()
-    payload["manifold"]["n"] = n
-    payload["loops"] = [{"name": "main", "weights": [1] * n, "C": "0"}]
-    return payload
+# a child that fails every normalized-lemma row, then runs the command
+FAILING_LEMMA = """import dataclasses, math, sys
+from blowup import cli
+check = cli.verify_normalized_lemma
+cli.verify_normalized_lemma = lambda *args: dataclasses.replace(
+    check(*args), max_deviation=math.inf)
+sys.exit(cli.main())
+"""
 
 
 def dilated(payload, factor):
@@ -793,18 +833,24 @@ def dilated(payload, factor):
     (["lift", "--loop", "main"], 1.0, 0),
 ])
 def test_closed_pipe_ends_quietly_with_the_command_status(
-        tmp_path, argv, factor, status, unbuffered):
-    # a failing verify needs a model whose rows fail at every scale
-    payload = wide_manifest(200) if status else base_manifest()
-    path = write_manifest(tmp_path, dilated(payload, factor))
+        tmp_path, monkeypatch, argv, factor, status, unbuffered):
+    # a failing verify reports an infinite lemma deviation, as the child
+    # of FAILING_LEMMA does, so it fails at every scale
+    if status:
+        check = cli.verify_normalized_lemma
+        monkeypatch.setattr(cli, "verify_normalized_lemma",
+                            lambda *args: dataclasses.replace(
+                                check(*args), max_deviation=math.inf))
+    path = write_manifest(tmp_path, dilated(base_manifest(), factor))
     assert cli.main(argv[:1] + [path] + argv[1:]) == status
     # an empty PYTHONUNBUFFERED leaves stdout block-buffered, so the pipe
     # error comes from the flush rather than from print
     env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
                PYTHONPATH=os.pathsep.join(
                    filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    child = ["-c", FAILING_LEMMA] if status else ["-m", "blowup.cli"]
     proc = subprocess.Popen(
-        [sys.executable, "-m", "blowup.cli", argv[0], path] + argv[1:],
+        [sys.executable] + child + [argv[0], path] + argv[1:],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     # closed before the child is done importing, so its first write fails
     proc.stdout.close()

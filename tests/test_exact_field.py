@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from blowup import exact_field
 from blowup.exact_field import (
     MAX_PARSE_DEGREE,
     TAU,
@@ -20,6 +21,7 @@ from blowup.exact_field import (
     parse_taurat,
     poly_gcd,
 )
+from blowup.weinstein import CircleLoopSpec, ManifoldSpec, lift_value_circle
 
 ONE = TauRat(1)
 
@@ -200,6 +202,43 @@ def test_poly_gcd_divides_both(p, q):
     assert (p % g).is_zero
     assert (q % g).is_zero
     assert g.lead == 1
+
+
+def test_poly_gcd_by_a_linear_divisor_decides_on_residues(monkeypatch):
+    # a remainder by t - a is p(a): its residues settle a nonzero one, and
+    # only a value that vanishes modulo every prime is formed exactly
+    formed = []
+    horner = exact_field._horner
+    monkeypatch.setattr(exact_field, "_horner",
+                        lambda *args: formed.append(args) or horner(*args))
+    a = Fraction(3, 2)
+    root = TauPoly([-a, 1])
+    cofactor = TauPoly([7 ** 90, 0, 0, -5, 11 ** 40])
+    assert poly_gcd(root * cofactor, 2 * root) == root
+    assert len(formed) == 1
+    formed.clear()
+    assert poly_gcd(root * cofactor + 1, root) == TauPoly([1])
+    assert formed == []
+    # p(3) is the product of the primes, so its residue is 0 and the exact
+    # value decides
+    shifted = TauPoly([-3, 1]) * cofactor + exact_field._MODULUS
+    assert poly_gcd(shifted, TauPoly([-3, 1])) == TauPoly([1])
+    assert len(formed) == 1
+
+
+def test_lift_at_n_1500_forms_no_linear_remainder(monkeypatch):
+    # the last Euclid step of V - t^n by a linear remainder meets the
+    # root's n-th power, thousands of digits long: residues decide it
+    formed = []
+    horner = exact_field._horner
+    monkeypatch.setattr(exact_field, "_horner",
+                        lambda *args: formed.append(args) or horner(*args))
+    n = 1500
+    lifted = lift_value_circle(CircleLoopSpec(weights=(1,) * n,
+                                              C=Fraction(1, 3)),
+                               ManifoldSpec(n=n, V=Fraction(2), a=Fraction(1)))
+    assert lifted.lifted_value.den.degree == n
+    assert formed == []
 
 
 # -- textual form ------------------------------------------------------------

@@ -169,18 +169,17 @@ def test_argument_validation():
 def test_annulus_constant_hamiltonian():
     params = LocalModelParams(n=2, rho=0.3, delta=0.2, r=1.0)
     h = LocalHamiltonian(weights=(0, 0), c=1.0)
-    left, right, deviation, skipped = verify_annulus_pushforward(h, params)
+    left, right, deviation = verify_annulus_pushforward(h, params)
     expected = math.pi ** 2 * (1 - 0.3 ** 4) / 2
     assert right.value == pytest.approx(expected, rel=1e-10)
     assert left.value == pytest.approx(expected, rel=1e-6)
     assert deviation <= 1e-4
-    assert skipped == 0
 
 
 def test_annulus_weighted_hamiltonian():
     params = LocalModelParams(n=2, rho=0.3, delta=0.2, r=1.0)
     h = LocalHamiltonian(weights=(1, 0))
-    left, right, deviation, _ = verify_annulus_pushforward(h, params)
+    left, right, deviation = verify_annulus_pushforward(h, params)
     expected = -math.pi ** 3 * (1 - 0.3 ** 6) / 6
     assert right.value == pytest.approx(expected, rel=1e-10)
     assert deviation <= 1e-4
@@ -189,7 +188,7 @@ def test_annulus_weighted_hamiltonian():
 def test_annulus_zero_hamiltonian():
     params = LocalModelParams(n=2, rho=0.3, delta=0.2, r=1.0)
     h = LocalHamiltonian(weights=(0, 0))
-    left, right, deviation, _ = verify_annulus_pushforward(h, params)
+    left, right, deviation = verify_annulus_pushforward(h, params)
     assert left.value == 0.0
     assert right.value == 0.0
     assert deviation == 0.0
@@ -200,10 +199,9 @@ def test_annulus_pullback_at_n_60_stays_finite():
     # float range; the folded weight s^(2n-1) det DF stays below r^(2n-1)
     params = LocalModelParams(n=60, rho=0.4, delta=0.2, r=1.0)
     h = LocalHamiltonian(weights=(1,) * 60)
-    left, right, _, skipped = verify_annulus_pushforward(h, params)
+    left, right, _ = verify_annulus_pushforward(h, params)
     assert math.isfinite(left.value) and right.value != 0.0
     assert abs(left.value - right.value) / abs(right.value) <= 1e-10
-    assert skipped == 0
 
 
 @pytest.mark.parametrize("n", [30, 60])
@@ -223,32 +221,25 @@ def test_integral_rows_report_the_true_deviation_at_large_n(n):
                             seed=0)
     rows = {row.check: row.max_deviation
             for row in cli._verify_rows(manifest, params, "integrals")}
-    left = quadrature._gauss_pullback(h, params, 32)[0]
-    right = quadrature._gauss_shell(h, 1.0, 0.4, n, 32)
-    lemma_right = (quadrature._gauss_shell(h, 1.0, 0.0, n, 32)
-                   - 0.4 ** (2 * n) * quadrature._gauss_shell(h, 0.4, 0.0,
-                                                               n, 32))
-    ball = quadrature._gauss_shell(h, 0.4, 0.0, n, 32)
-    expected = -n * math.pi * 0.4 ** 2 / (n + 1)  # the mean -K t / (n + 1)
-    true = {
-        "annulus-pushforward:ones": abs(left - right) / abs(right),
-        "normalized-lemma:ones": abs(left - lemma_right) / abs(lemma_right),
-        "ball-closed-form:ones": abs(ball - expected) / abs(expected),
-    }
+    left = quadrature._gauss_pullback(h, params, 32)
+    right = quadrature._annulus_mean(h, 1.0, 0.4, n)
+    true = abs(left - right) / abs(right)
     annulus = verify_annulus_pushforward(h, params)
     assert (abs(annulus.right.value) < 1e-12
             and abs(integrate_ball(h, 0.4, n).value) < 1e-12)
-    for check, deviation in true.items():
-        assert deviation > 0.0
-        assert abs(rows[check] - deviation) <= 0.01 * deviation
+    assert true > 0.0
+    for check in ("annulus-pushforward:ones", "normalized-lemma:ones"):
+        assert abs(rows[check] - true) <= 0.01 * true
+    # the ball mean -K t / (n + 1) is exact, so its row reads roundoff
+    assert rows["ball-closed-form:ones"] <= 1e-15
 
 
 def test_annulus_monte_carlo_scheme():
     params = LocalModelParams(n=2, rho=0.3, delta=0.2, r=1.0)
     h = LocalHamiltonian(weights=(0, 0), c=1.0)
-    left, right, _, _ = verify_annulus_pushforward(h, params,
-                                                   scheme="monte-carlo",
-                                                   samples=50_000)
+    left, right, _ = verify_annulus_pushforward(h, params,
+                                                scheme="monte-carlo",
+                                                samples=50_000)
     assert abs(left.value - right.value) <= 3 * (left.error_estimate
                                                  + right.error_estimate)
     gauss_value = math.pi ** 2 * (1 - 0.3 ** 4) / 2
@@ -291,17 +282,21 @@ def test_normalized_lemma_zero():
 
 def test_normalized_lemma_shares_the_annulus_pullback():
     # the lemma's pulled-back side is the annulus check's left mean, bit
-    # for bit, so its deviation is rebuilt exactly from that and the balls
+    # for bit, and its right side the annulus check's, so its deviation is
+    # rebuilt exactly from them and the balls
     params = LocalModelParams(n=3, rho=0.35, delta=0.15, r=0.9)
     h = LocalHamiltonian(weights=(2, -1, 3), c=0.4)
-    left = quadrature._gauss_pullback(h, params, 32)[0]
+    left = quadrature._gauss_pullback(h, params, 32)
     volume = quadrature._ball_volume(3, params.r)
-    assert verify_annulus_pushforward(h, params).left.value == left * volume
-    right = (quadrature._gauss_shell(h, params.r, 0.0, 3, 32)
+    annulus = verify_annulus_pushforward(h, params)
+    assert annulus.left.value == left * volume
+    right = (quadrature._ball_mean(h, params.r, 3)
              - (params.rho / params.r) ** 6
-             * quadrature._gauss_shell(h, params.rho, 0.0, 3, 32))
+             * quadrature._ball_mean(h, params.rho, 3))
+    assert annulus.right.value == right * volume
     lemma = verify_normalized_lemma(h, params)
     assert lemma.max_deviation == abs(left - right) / abs(right)
+    assert lemma.max_deviation == annulus.deviation
     # and the balls' means times their volumes are integrate_ball's values
     outer = integrate_ball(h, params.r, 3).value
     inner = integrate_ball(h, params.rho, 3).value
@@ -314,7 +309,7 @@ def test_verify_integrals_build_one_jacobian_per_order(monkeypatch):
     widths = []
 
     def counting_slope(s, beta, params):
-        calls.append(len(s))
+        calls.append(np.size(s))
         return _profile_slope(s, beta, params)
 
     def recording_jacobian(real_map, coords):
@@ -349,21 +344,29 @@ def test_verify_integrals_build_one_jacobian_per_order(monkeypatch):
 @pytest.mark.parametrize("n, seed", [(2, 0), (2, 12), (2, 39), (2, 61),
                                      (2, 2), (3, 0), (4, 0)])
 def test_monte_carlo_pullback_matches_closed_form_determinant(n, seed):
-    # the program's default-count draws weighted by det DF =
-    # beta' (beta/s)^(2n-1), written out here from the public, checked
-    # beta_profile.  Of the seeds 0-99, 61 and 2 give the n = 2 pullback
-    # draws with the smallest least radius, 0.0192 and 0.0272, near the
-    # origin where det DF is large.
+    # the program's default-count draws, moved to the defensive mixture and
+    # weighted by det DF = beta' (beta/s)^(2n-1) times the ball's radial
+    # density over the mixture's, written out here from the public,
+    # checked beta_profile; the mixture's 2t part puts draws near the
+    # origin, where det DF is large
     params = LocalModelParams(n=n, rho=0.4, delta=0.2, r=1.0)
     h = LocalHamiltonian(weights=tuple(range(1, n + 1)), c=0.3)
     left = verify_annulus_pushforward(h, params, "monte-carlo",
                                       seed=seed).left
+    a = quadrature._MC_DEFENSIVE
 
-    def closed_form_pullback(radii, moments):
-        # H o F = -pi beta^2 q + c on the same radii and direction moments
-        value, slope = beta_profile(radii, params)
-        dets = slope * (value / radii) ** (2 * n - 1)
-        return (-math.pi * value * value * moments + h.c) * dets
+    def closed_form_pullback(u, moments):
+        # the ball draw's uniform (|x|/r)^(2n) below a gives t = sqrt(u/a),
+        # above it t = ((u - a)/(1 - a))^(1/2n)
+        t = np.where(u < a, np.sqrt(u / a),
+                     (np.maximum(u - a, 0.0) / (1 - a)) ** (1 / (2 * n)))
+        density = 2 * n * t ** (2 * n - 1)
+        ratio = density / ((1 - a) * density + 2 * a * t)
+        s = params.r * t
+        # H o F = -pi beta^2 q + c on the same direction moments
+        value, slope = beta_profile(s, params)
+        dets = slope * (value / s) ** (2 * n - 1)
+        return (-math.pi * value * value * moments + h.c) * dets * ratio
 
     # _monte_carlo returns the mean over the r-ball; the left side is that
     # mean times the ball's volume
@@ -402,17 +405,15 @@ def test_integral_rows_fail_on_a_wrong_profile_slope(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [2, 4])
-def test_skip_radius_scales_with_the_model(n):
-    # at 2^-20 (0.4, 0.2, 1) the least order-32 Gauss nodes lie below an
-    # absolute 1e-8, which dropped five of them; relative to r none is
-    # dropped, and the rows read as at scale 1
+def test_integral_rows_read_alike_at_a_tiny_scale(n):
+    # at 2^-20 (0.4, 0.2, 1) the least order-32 Gauss nodes lie below 1e-8;
+    # no node is dropped, and the rows read as at scale 1
     scale = 2.0 ** -20
     params = LocalModelParams(n=n, rho=0.4 * scale, delta=0.2 * scale,
                               r=scale)
     h = LocalHamiltonian(weights=tuple(range(1, n + 1)), c=0.3 * scale ** 2)
     annulus = verify_annulus_pushforward(h, params)
     lemma = verify_normalized_lemma(h, params)
-    assert annulus.skipped == 0 and lemma.skipped == 0
     assert annulus.deviation <= 1e-12
     assert lemma.max_deviation <= 1e-12
 
@@ -420,10 +421,11 @@ def test_skip_radius_scales_with_the_model(n):
 # ------------------------------------------- Monte-Carlo reference copies
 # The cube-and-reject block loops that the ball-and-shell sampler replaced,
 # kept as the oracle for its standard error at 200k cube draws, and the
-# shell-sampled estimator on points that _monte_carlo must match.  The
-# program reads each draw as a radius and a weighted direction moment and
-# never forms the point, so it rounds differently: the tests allow 1e-9
-# of a standard error in the value and in the standard error itself.
+# shell-sampled and defensive-mixture estimators on points that
+# _monte_carlo must match.  The program reads each draw as a radius and a
+# weighted direction moment and never forms the point, so it rounds
+# differently: the tests allow 1e-9 of a standard error in the value and
+# in the standard error itself.
 
 def _reference_blocks(samples):
     base, extra = divmod(samples, 16)
@@ -466,7 +468,6 @@ def _reference_mc_region(h, params, samples, seed, pullback):
     total = 0.0
     total_sq = 0.0
     count = 0
-    skipped = 0
     for block, child in zip(_reference_blocks(samples), children):
         if block == 0:
             continue
@@ -475,7 +476,6 @@ def _reference_mc_region(h, params, samples, seed, pullback):
         radii = np.linalg.norm(coords, axis=1)
         if pullback:
             keep = (radii <= r) & (radii >= 1e-8)
-            skipped += int(np.count_nonzero(radii < 1e-8))
             values = np.zeros(block)
             if np.any(keep):
                 inside = coords[keep]
@@ -491,12 +491,17 @@ def _reference_mc_region(h, params, samples, seed, pullback):
         count += block
     mean = total / count
     variance = max(total_sq / count - mean * mean, 0.0)
-    return (cube_volume * mean, cube_volume * math.sqrt(variance / count),
-            count, skipped)
+    return cube_volume * mean, cube_volume * math.sqrt(variance / count)
 
 
-def _reference_mc_shell(values_of, n, radius, inner, samples, seed):
-    """The shell-sampled estimator written out, block by block."""
+def _reference_mc_shell(values_of, n, radius, inner, samples, seed,
+                        mixture=False):
+    """The shell-sampled estimator written out, block by block.
+
+    With mixture, the ball's radial law 2n t^(2n-1) gives way to the
+    pullback's defensive mixture (1 - a) 2n t^(2n-1) + a 2t, each value
+    weighted by the ball's density over the mixture's.
+    """
     dim = 2 * n
     volume = math.pi ** n / math.factorial(n) * (radius ** dim - inner ** dim)
     children = np.random.SeedSequence(seed).spawn(16)
@@ -511,11 +516,20 @@ def _reference_mc_shell(values_of, n, radius, inner, samples, seed):
         # axis of each complex coordinate
         draws = rng.standard_exponential((block, n))
         low = (inner / radius) ** dim
-        radii = radius * (low + (1.0 - low) * rng.random(block)) ** (1 / dim)
+        uniform = rng.random(block)
+        radii = radius * (low + (1.0 - low) * uniform) ** (1 / dim)
+        ratio = 1.0
+        if mixture:
+            a = quadrature._MC_DEFENSIVE
+            t = np.where(uniform < a, np.sqrt(uniform / a),
+                         (np.maximum(uniform - a, 0.0) / (1 - a)) ** (1 / dim))
+            density = dim * t ** (dim - 1)
+            ratio = density / ((1 - a) * density + 2 * a * t)
+            radii = radius * t
         points = np.zeros((block, dim))
         points[:, 0::2] = radii[:, None] * np.sqrt(
             draws / draws.sum(axis=1, keepdims=True))
-        values = values_of(points)
+        values = values_of(points) * ratio
         total += float(np.sum(values))
         total_sq += float(np.sum(values * values))
     mean = total / samples
@@ -562,11 +576,10 @@ def test_monte_carlo_pushforward_matches_reference(n, seed, samples):
     got = verify_annulus_pushforward(h, params, "monte-carlo",
                                      samples=samples, seed=seed)
     assert_matches_reference(got.left, _reference_mc_shell(
-        pulled_back, n, 1.0, 0.0, samples, seed))
+        pulled_back, n, 1.0, 0.0, samples, seed, mixture=True))
     assert_matches_reference(got.right, _reference_mc_shell(
         lambda x: h.values(_complexify(x)), n, 1.0, 0.3, samples, seed + 1))
     assert got.left.samples_or_order == got.right.samples_or_order == samples
-    assert got.skipped == 0
 
 
 # ------------------------------------------------------ ball-and-shell sampler
@@ -618,15 +631,17 @@ def _dirichlet_moment_power(weights, power):
 def test_shell_moments_follow_the_uniform_direction_law(n, inner):
     # q = sum_j w_j |u_j|^2 for u uniform on the unit sphere of C^n
     weights, radius, count = (3, -1, 2, 5)[:n], 0.8, 20_000
-    radii, moments = _shell_moments(np.random.default_rng(n), count, weights,
-                                    radius, inner)
+    powers, moments = _shell_moments(np.random.default_rng(n), count,
+                                     weights, radius, inner)
     again = _shell_moments(np.random.default_rng(n), count, weights, radius,
                            inner)
-    assert radii.tobytes() == again[0].tobytes()
+    assert powers.tobytes() == again[0].tobytes()
     assert moments.tobytes() == again[1].tobytes()
-    assert radii.shape == moments.shape == (count,)
-    # the radius law of test_shell_samples_radial_median
+    assert powers.shape == moments.shape == (count,)
+    # the radius law of test_shell_samples_radial_median, for the radii
+    # whose powers (|x|/radius)^(2n) were drawn
     d = 2 * n
+    radii = radius * powers ** (1 / d)
     assert np.all((inner <= radii) & (radii <= radius))
     median = (inner ** d + (radius ** d - inner ** d) / 2) ** (1 / d)
     assert abs(np.mean(radii <= median) - 0.5) <= 0.01
@@ -677,14 +692,12 @@ def test_monte_carlo_within_five_sigma(n):
     ball = integrate_ball(h, 0.6, n, scheme="monte-carlo")
     exact = integrate_ball(h, 0.6, n).value
     assert abs(ball.value - exact) <= 5 * ball.error_estimate
-    left, right, _, skipped = verify_annulus_pushforward(h, params,
-                                                         "monte-carlo")
+    left, right, _ = verify_annulus_pushforward(h, params, "monte-carlo")
     annulus = (integrate_ball(h, 1.0, n).value
                - integrate_ball(h, 0.3, n).value)
     assert abs(right.value - annulus) <= 5 * right.error_estimate
     assert abs(left.value - right.value) <= 5 * math.hypot(
         left.error_estimate, right.error_estimate)
-    assert skipped == 0
 
 
 def _benchmark_shaped(rng, n):
@@ -722,9 +735,9 @@ def test_default_count_stderr_at_most_the_cube(n):
 
 
 def test_default_count_pullback_stderr_at_most_the_cube():
-    # det DF grows like (rho/|x|)^(2n-2) at the origin, so the pulled-back
-    # integrand is square-integrable only at n = 1; from n = 2 on neither
-    # sampler has a finite variance for the bound to hold
+    # at n = 1 the defensive mixture is the ball law; from n = 2 on det DF
+    # grows like (rho/|x|)^(2n-2) at the origin, so the cube sampler has
+    # no finite variance to bound the mixture's by
     rng = random.Random(1)
     for _ in range(2):
         h, params, seed = _benchmark_shaped(rng, 1)
@@ -732,3 +745,60 @@ def test_default_count_pullback_stderr_at_most_the_cube():
                                           seed=seed).left
         cube = _reference_mc_region(h, params, 200_000, seed, True)[1]
         assert left.error_estimate <= STDERR_SLACK * cube
+
+
+# ------------------------------------------------ defensive-mixture pullback
+
+
+def test_monte_carlo_pullback_within_five_sigma_over_200_seeds():
+    # the mc-pushforward benchmark model whose uniform-ball pullback drew
+    # 6.9 combined sigma from the annulus side at seed 3: its weight had
+    # infinite variance, so a rare draw near the origin moved the mean
+    # past its own standard error
+    params = LocalModelParams(n=3, rho=0.361, delta=0.049, r=0.603)
+    h = LocalHamiltonian(weights=(-1, -1, 1), c=2.0)
+    reference = verify_annulus_pushforward(h, params).left.value
+    for seed in range(200):
+        left = verify_annulus_pushforward(h, params, "monte-carlo",
+                                          seed=seed).left
+        assert abs(left.value - reference) <= 5 * left.error_estimate
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_monte_carlo_pullback_two_sigma_coverage(n):
+    # a bounded weight makes the standard error honest: 2-sigma intervals
+    # of 4,000 draws cover the product-gauss pullback about 95% of the
+    # time, a share that moves by 0.013 or so over 300 models, and none
+    # misses by 5 sigma.  The uniform-ball pullback covered as often, but
+    # missed two n = 4 models by 5.0 and 5.5 of its standard errors
+    rng = random.Random(n)
+    covered = 0
+    for _ in range(300):
+        h, params, seed = _benchmark_shaped(rng, n)
+        reference = verify_annulus_pushforward(h, params).left.value
+        left = verify_annulus_pushforward(h, params, "monte-carlo",
+                                          samples=4_000, seed=seed).left
+        miss = abs(left.value - reference)
+        covered += miss <= 2 * left.error_estimate
+        assert miss <= 5 * left.error_estimate
+    assert 0.92 <= covered / 300 <= 0.98
+
+
+def test_monte_carlo_pullback_at_a_zero_radius(monkeypatch):
+    # the folded weight is 0 at the origin, where the mixture's law is 0
+    # too: a draw there adds 0, and nothing divides by zero (the suite
+    # makes every RuntimeWarning an error)
+    params = LocalModelParams(n=3, rho=0.3, delta=0.2, r=1.0)
+    beta, weight = quadrature._pullback_weight(np.zeros(1), params)
+    assert (beta[0], weight[0]) == (0.3, 0.0)
+
+    def with_a_zero(rng, count, weights, radius, inner=0.0):
+        powers, moments = _shell_moments(rng, count, weights, radius, inner)
+        powers[0] = 0.0
+        return powers, moments
+
+    monkeypatch.setattr(quadrature, "_shell_moments", with_a_zero)
+    h = LocalHamiltonian(weights=(1, 2, 3), c=0.3)
+    left = verify_annulus_pushforward(h, params, "monte-carlo",
+                                      samples=160).left
+    assert math.isfinite(left.value) and math.isfinite(left.error_estimate)
