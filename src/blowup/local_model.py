@@ -40,16 +40,19 @@ the model, so the CLI's verify calls every check once, on the unit model
 r = 1, with c/r^2 for c.
 
 The batched chart kernel of the package lives here: _realify and
-_complexify, the profile _profile_raw and its slope _profile_slope, the
-chart _chart, which scales real (N, 2n) rows by beta(|x|)/|x|, the
-central-difference Jacobian _jacobian of a batched real map, called on
-all "+step" and then all "-step" copies of the rows into a C-contiguous
-array (the @ products of the checks round differently on a transposed
-view), LocalHamiltonian.values, and two uniform ball-or-shell draws that
-share one radius law, _shell_powers: points (_shell_samples, from
-Gaussian directions) and powers (|x|/radius)^(2n) with weighted direction
-moments (_shell_moments, from the Dirichlet law of a uniform direction's
-squared moduli), which quadrature.py takes with the profile and its slope.
+_complexify, the band position _band, the profile _profile_raw and its
+slope _profile_slope, the chart _chart, which scales real (N, 2n) rows
+by beta(|x|)/|x|, the central-difference Jacobian _jacobian of a batched
+real map, called on all "+step" and then all "-step" copies of the rows
+into a C-contiguous array (the @ products of the checks round
+differently on a transposed view), LocalHamiltonian.values, and two
+uniform ball-or-shell draws that share one radius law, _shell_powers:
+points (_shell_samples, from Gaussian directions) and powers
+(|x|/radius)^(2n) with weighted direction moments (_shell_moments, from
+the Dirichlet law of a uniform direction's squared moduli, for several
+generators' draws at once), which quadrature.py takes with the band and
+the smoothstep.
+
 Checks run over all their seeded samples at once; a map given to
 symplectic_pullback_check as a matrix is applied to all of them with one
 product, points @ matrix.T, and a callable of one point goes through the
@@ -185,8 +188,13 @@ def _slope_margin(rho, delta, r):
 
 
 def _band(arr, params):
-    """Position of each radius in the transition band, clipped to [0, 1]."""
-    return np.clip((arr - params.delta) / params.width, 0.0, 1.0)
+    """Position of each radius in the transition band, clipped to [0, 1].
+
+    np.minimum of np.maximum is the clip, without np.clip's overhead on
+    small arrays; a NaN radius stays NaN in both.
+    """
+    return np.minimum(np.maximum((arr - params.delta) / params.width, 0.0),
+                      1.0)
 
 
 def _profile_raw(arr, params):
@@ -428,12 +436,12 @@ class UnitaryLoop:
         return -2j * math.pi * weights * np.asarray(z, dtype=complex)
 
 
-def _shell_powers(rng, count, n, radius, inner=0.0):
-    """(count,) powers (|x|/radius)^(2n) of uniform points of the shell
-    inner <= |x| <= radius: uniform on [(inner/radius)^(2n), 1] (Marsaglia
-    1972), one uniform per draw."""
+def _shell_powers(uniforms, n, radius, inner=0.0):
+    """Powers (|x|/radius)^(2n) of uniform points of the shell inner <= |x|
+    <= radius, from one uniform on [0, 1) per draw: uniform on
+    [(inner/radius)^(2n), 1] (Marsaglia 1972)."""
     low = (inner / radius) ** (2 * n)
-    return low + (1.0 - low) * rng.random(count)
+    return low + (1.0 - low) * uniforms
 
 
 def _shell_samples(rng, count, n, radius, inner=0.0):
@@ -444,12 +452,13 @@ def _shell_samples(rng, count, n, radius, inner=0.0):
     the radii.
     """
     directions = rng.standard_normal((count, 2 * n))
-    radii = radius * _shell_powers(rng, count, n, radius, inner) ** (0.5 / n)
+    powers = _shell_powers(rng.random(count), n, radius, inner)
+    radii = radius * powers ** (0.5 / n)
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     return directions * radii[:, None]
 
 
-def _shell_moments(rng, count, weights, radius, inner=0.0):
+def _shell_moments(rngs, counts, basis, radius, inner=0.0):
     """Powers (|x|/radius)^(2n) and moments sum_j w_j |x_j|^2 / |x|^2.
 
     The two numbers a circle-type Hamiltonian reads of a uniform point of
@@ -458,15 +467,25 @@ def _shell_moments(rng, count, weights, radius, inner=0.0):
     uniform on the sphere of C^n the squared moduli (|u_1|^2, ...,
     |u_n|^2) are Dirichlet(1, ..., 1), the law of E_j / sum E for
     independent standard exponentials E_j, and independent of the radius
-    (Devroye 1986, ch. XI).  So n exponentials per draw, taken
-    before the powers, give q as one small product E @ [1, w] and one
-    divide per row, with no direction ever formed.
+    (Devroye 1986, ch. XI).  So n exponentials per draw give q as one
+    small product E @ basis and one divide per row, with no direction ever
+    formed; basis is the (n, 2) matrix of columns 1 and w.
+
+    counts[i] points come from rngs[i], in turn.  Each generator draws its
+    exponentials and then its uniforms straight into its own slice of one
+    buffer each (out=), so every point is the one that a call per
+    generator would draw, while one product and one divide serve them all.
     """
-    weights = np.asarray(weights, dtype=float)
-    draws = rng.standard_exponential((count, len(weights)))
-    powers = _shell_powers(rng, count, len(weights), radius, inner)
-    sums = draws @ np.stack([np.ones(len(weights)), weights], axis=1)
-    return powers, sums[:, 1] / sums[:, 0]
+    draws = np.empty((sum(counts), len(basis)))
+    uniforms = np.empty(len(draws))
+    stop = 0
+    for rng, count in zip(rngs, counts):
+        start, stop = stop, stop + count
+        rng.standard_exponential(out=draws[start:stop])
+        rng.random(out=uniforms[start:stop])
+    sums = draws @ basis
+    return (_shell_powers(uniforms, len(basis), radius, inner),
+            sums[:, 1] / sums[:, 0])
 
 
 def _frozen(*arrays):

@@ -13,30 +13,38 @@ Lebesgue one.
 Both schemes rest on the radial-angular factorization of the circle-type
 Hamiltonians H = -pi sum m_j |z_j|^2 + c: at a point s*u with |u| = 1, H
 is -pi s^2 q + c with q = sum m_j |u_j|^2 the weighted moment of the
-direction (_sphere_values).  product-gauss puts in q's sphere average
-K/n, K the weight sum, so H is linear in u^2, whose ball mean is
-n/(n+1): a ball mean is H at moment K/(n+1) on the sphere, exact at every
-n (_ball_mean), and an annulus mean the r-ball's less (rho/r)^(2n) times
-the rho-ball's (_annulus_mean).  monte-carlo draws uniform points of a
-ball or an annulus as powers (|x|/R)^(2n) and direction moments
-(_shell_moments), in seeded deterministic blocks (_monte_carlo).
+direction (_sphere_values, which takes s^2).  product-gauss puts in q's
+sphere average K/n, K the weight sum, so H is linear in u^2, whose ball
+mean is n/(n+1): a ball mean is H at moment K/(n+1) on the sphere, exact
+at every n (_ball_mean), and an annulus mean the r-ball's less
+(rho/r)^(2n) times the rho-ball's (_annulus_mean).  monte-carlo draws
+uniform points of a ball or an annulus as powers u = (|x|/R)^(2n) and
+direction moments (_shell_moments), so H there is -pi R^2 u^(1/n) q + c.
+The draws come from 16 seeded children, one block each; consecutive
+whole blocks form passes of at most _MC_PASS = 4,096 draws, with one
+draw and one integrand call per pass (_monte_carlo).  Every draw is the
+one its block's own generator gives, so the grouping moves a result by
+rounding only.
 
 The pushforward checks take the mean of H over the annulus rho < |z| <= r
 directly, and pulled back through the radial chart F(x) = beta(|x|) x/|x|
 over the r-ball.  F keeps directions, so H o F is -pi beta(s)^2 q + c,
 and det DF = beta'(s) (beta(s)/s)^(2n-1).  Both schemes weigh H o F by
 one weight, the r-ball's radial density at t = s/r times det DF,
-w(t) = 2n beta'(rt) (beta(rt)/r)^(2n-1) (_pullback_weight), at most 2n
-and 0 at the origin, in closed form from the profile and its slope: the
-sides agree only if beta' is the derivative of beta, which a
-finite-difference slope could never show.  product-gauss takes w on
-three Legendre panels, unnormalized.  monte-carlo draws t from the
-defensive mixture p(t) = (1 - a) 2n t^(2n-1) + a 2t, a = _MC_DEFENSIVE
-(Hesterberg, Technometrics 37, 1995), by splitting the ball draw's own
-uniform (|x|/r)^(2n) at a; w/p is bounded, so its standard error is an
-honest one, and at n = 1 p is the ball law.  Each deviation is relative
-to the right side, floored at 1e-12 of a bound on it
-(_relative_deviation).
+w(t) = 2n beta'(rt) (beta(rt)/r)^(2n-1), at most 2n and 0 at the
+origin.  It is taken in closed form from beta^2 = rho^2 chi + s^2 and
+its slope rho^2 chi' + 2s, with one band position for both
+(_profile_square), as n (beta^2)' (beta^2/r^2)^(n-1) / r
+(_pullback_weight): no root, no division by beta, and beta^2 exact at
+both ends, rho^2 at 0 and s^2 where chi = 0.  The sides agree only if the
+slope is the derivative of the profile, which a finite-difference slope
+could never show.  product-gauss takes w on three Legendre panels,
+unnormalized.  monte-carlo draws t from the defensive mixture
+p(t) = (1 - a) 2n t^(2n-1) + a 2t, a = _MC_DEFENSIVE (Hesterberg,
+Technometrics 37, 1995), by splitting the ball draw's own uniform
+(|x|/r)^(2n) at a; w/p is bounded, so its standard error is an honest
+one, and at n = 1 p is the ball law.  Each deviation is relative to the
+right side, floored at 1e-12 of a bound on it (_relative_deviation).
 """
 
 from __future__ import annotations
@@ -48,8 +56,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .local_model import (CheckResult, _profile_raw, _profile_slope,
-                          _shell_moments)
+from .local_model import (CheckResult, _band, _shell_moments, _smoothstep,
+                          _smoothstep_prime)
 
 __all__ = [
     "IntegralResult",
@@ -62,6 +70,9 @@ __all__ = [
 
 MC_SEED = 0xC0FFEE
 _MC_BLOCKS = 16
+# draws per Monte-Carlo pass at most, unless one block is larger: a pass's
+# buffers stay below glibc's mmap threshold, so no op faults them in anew
+_MC_PASS = 4096
 # the least default Monte-Carlo count, 64 draws per block
 _MC_MIN_SAMPLES = 1024
 _MC_DEFENSIVE = 0.05  # the pullback's share of draws of radial law 2t
@@ -102,13 +113,14 @@ def _legendre_rule(order):
     return x, w
 
 
-def _sphere_values(h, s, moment):
-    """H at radius s along directions of weighted moment sum_j m_j |u_j|^2.
+def _sphere_values(h, square, moment):
+    """H at squared radius square along directions of weighted moment
+    sum_j m_j |u_j|^2.
 
     A moment of K/n, the sphere average of every direction's moment, gives
-    the sphere average of H; s and moment may be arrays.
+    the sphere average of H; square and moment may be arrays.
     """
-    return -math.pi * moment * s * s + h.c
+    return -math.pi * moment * square + h.c
 
 
 def _ball_volume(n, radius):
@@ -135,7 +147,7 @@ def _lebesgue(mean, volume):
 def _ball_mean(h, radius, n):
     """Mean of H over the radius-ball: H at moment K/(n+1), the one-node
     Gauss rule of 2n u^(2n-1) in u^2."""
-    return _sphere_values(h, radius, h.weight_sum / (n + 1))
+    return _sphere_values(h, radius * radius, h.weight_sum / (n + 1))
 
 
 def _annulus_mean(h, r, rho, n):
@@ -149,9 +161,11 @@ def _monte_carlo(integrand, weights, radius, samples, seed, inner=0.0):
     The integrand is zero below inner; n is the number of weights.  The
     samples, _default_samples(n) when None, split into _MC_BLOCKS blocks,
     each drawing its own count in inner <= |x| <= radius from its own
-    child of SeedSequence(seed), so results are bit-stable.  integrand
-    maps a block's powers (|x|/radius)^(2n) and direction moments
-    (_shell_moments) to values.
+    child of SeedSequence(seed), so results are bit-stable.  Consecutive
+    whole blocks form passes of at most _MC_PASS draws, a larger block a
+    pass of its own; integrand maps a pass's powers (|x|/radius)^(2n) and
+    direction moments (_shell_moments) to values, one call per pass.  A
+    pass draws what its blocks would draw one by one.
     """
     n = len(weights)
     samples = _default_samples(n) if samples is None else samples
@@ -159,15 +173,22 @@ def _monte_carlo(integrand, weights, radius, samples, seed, inner=0.0):
         raise ValueError("monte-carlo needs a positive sample count")
     children = np.random.SeedSequence(seed).spawn(_MC_BLOCKS)
     base, extra = divmod(samples, _MC_BLOCKS)
+    # below _MC_BLOCKS samples, the blocks that draw nothing are left out
+    counts = ([base + 1] * extra + [base] * (_MC_BLOCKS - extra))[:samples]
+    basis = np.stack([np.ones(n), np.asarray(weights, dtype=float)], axis=1)
     total = total_sq = 0.0
-    for index, child in enumerate(children):
-        block = base + 1 if index < extra else base
-        if block == 0:
-            continue
-        values = integrand(*_shell_moments(np.random.default_rng(child),
-                                           block, weights, radius, inner))
+    start = 0
+    while start < len(counts):
+        stop, size = start + 1, counts[start]
+        while stop < len(counts) and size + counts[stop] <= _MC_PASS:
+            size += counts[stop]
+            stop += 1
+        rngs = [np.random.default_rng(child) for child in children[start:stop]]
+        values = integrand(*_shell_moments(rngs, counts[start:stop], basis,
+                                           radius, inner))
         total += float(np.sum(values))
         total_sq += float(np.sum(values * values))
+        start = stop
     share = _shell_share(n, radius, inner)
     mean = total / samples
     variance = max(total_sq / samples - mean * mean, 0.0)
@@ -211,36 +232,55 @@ def integrate_ball(h, radius, n, scheme="product-gauss", samples=None,
     monte-carlo draws uniform points in the ball, _default_samples(n) of
     them unless told, and reports one standard error.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 < radius < math.inf:
+        raise ValueError("radius must be finite and positive")
     n = int(n)
     if n < 1:
         raise ValueError("need at least one complex coordinate")
     if len(h.weights) != n:
         raise ValueError("weight count must match n")
+    # a volume past the float range raises here, before any draw
+    volume = _ball_volume(n, radius)
     if scheme == "product-gauss":
         mean = IntegralResult(_ball_mean(h, radius, n),
                               1e-15 * h.bound(radius), "product-gauss", 1)
     elif scheme == "monte-carlo":
         mean = _monte_carlo(
-            lambda u, q: _sphere_values(h, radius * u ** (0.5 / n), q),
+            lambda u, q: _sphere_values(h, radius * radius * u ** (1.0 / n),
+                                        q),
             h.weights, radius, samples, seed)
     else:
         raise ValueError("scheme must be 'product-gauss' or 'monte-carlo'")
-    return _lebesgue(mean, _ball_volume(n, radius))
+    return _lebesgue(mean, volume)
+
+
+def _profile_square(s, params):
+    """beta(s)^2 = rho^2 chi(s) + s^2 and its slope rho^2 chi'(s) + 2s.
+
+    One band position serves both.  Both ends are exact: rho^2 at s = 0,
+    and s^2 wherever chi = 0, past r too.
+    """
+    u = _band(s, params)
+    rho_sq = params.rho * params.rho
+    return (rho_sq * (1.0 - _smoothstep(u)) + s * s,
+            rho_sq * (-_smoothstep_prime(u) / params.width) + 2.0 * s)
 
 
 def _pullback_weight(s, params):
-    """beta(s) and the weight 2n beta'(s) (beta(s)/r)^(2n-1): the r-ball's
-    radial density at s/r times det DF, 0 at s = 0 and at most 2n."""
-    beta = _profile_raw(s, params)
-    return beta, ((2 * params.n) * _profile_slope(s, beta, params)
-                  * (beta / params.r) ** (2 * params.n - 1))
+    """beta(s)^2 and the r-ball's radial density at s/r times det DF.
+
+    The weight 2n beta'(s) (beta(s)/r)^(2n-1) is, with beta' the slope of
+    beta^2 over 2 beta, n (beta^2)'(s) (beta(s)^2/r^2)^(n-1) / r: no root,
+    and no division by beta.  It is 0 at s = 0 and at most 2n.
+    """
+    square, slope = _profile_square(s, params)
+    n, r = params.n, params.r
+    return square, (n / r) * slope * (square / (r * r)) ** (n - 1)
 
 
 @functools.lru_cache(maxsize=32)
 def _pullback_rule(params, order):
-    """beta(s) and the pulled-back density at Gauss nodes, a row per panel.
+    """beta(s)^2 and the pulled-back density at Gauss nodes, a row per panel.
 
     The part of _gauss_pullback that no Hamiltonian enters, cached
     read-only per model (LocalModelParams hashes by value) and order, so
@@ -251,10 +291,10 @@ def _pullback_rule(params, order):
     cuts = np.array([0.0, params.delta, params.r - params.delta, params.r])
     mid = 0.5 * (cuts[:-1] + cuts[1:])[:, None]
     half = 0.5 * (cuts[1:] - cuts[:-1])[:, None]
-    beta, weight = _pullback_weight(mid + half * x, params)
+    square, weight = _pullback_weight(mid + half * x, params)
     density = half * w / params.r * weight
-    beta.flags.writeable = density.flags.writeable = False
-    return beta, density
+    square.flags.writeable = density.flags.writeable = False
+    return square, density
 
 
 def _gauss_pullback(h, params, order):
@@ -263,8 +303,8 @@ def _gauss_pullback(h, params, order):
     The sphere average of H o F at radius s is that of H at radius
     beta(s); each panel sums on its own.
     """
-    beta, density = _pullback_rule(params, order)
-    values = density * _sphere_values(h, beta, h.weight_sum / params.n)
+    square, density = _pullback_rule(params, order)
+    values = density * _sphere_values(h, square, h.weight_sum / params.n)
     return sum(float(row) for row in values.sum(axis=1))
 
 
@@ -282,6 +322,7 @@ def verify_annulus_pushforward(h, params, scheme="product-gauss", samples=None,
     if len(h.weights) != params.n:
         raise ValueError("weight count must match n")
     n, r, rho = params.n, params.r, params.rho
+    volume = _ball_volume(n, r)
     if scheme == "product-gauss":
         mean = _gauss_pullback(h, params, GAUSS_ORDER)
         error = (abs(mean - _gauss_pullback(h, params, GAUSS_ORDER // 2))
@@ -302,22 +343,21 @@ def verify_annulus_pushforward(h, params, scheme="product-gauss", samples=None,
             v[low] = u[low] / a
             t[low] = np.sqrt(v[low])
             v[low] **= n
-            beta, weight = _pullback_weight(r * t, params)
+            square, weight = _pullback_weight(r * t, params)
             # w/p, with p(t) t = (1 - a) 2n t^(2n) + 2a t^2; p is 0 only at
             # t = 0, where w t is 0 too, and the draw contributes 0
             law = (1.0 - a) * (2 * n) * v + (2.0 * a) * t * t
             ratio = weight * t / np.maximum(law, math.ulp(0.0))
-            return _sphere_values(h, beta, moments) * ratio
+            return _sphere_values(h, square, moments) * ratio
 
         left = _monte_carlo(pullback, h.weights, r, samples, seed)
         right = _monte_carlo(
-            lambda u, q: _sphere_values(h, r * u ** (0.5 / n), q),
+            lambda u, q: _sphere_values(h, r * r * u ** (1.0 / n), q),
             h.weights, r, samples, seed + 1, inner=rho)
     else:
         raise ValueError("scheme must be 'product-gauss' or 'monte-carlo'")
     deviation = _relative_deviation(left.value, right.value,
                                     h.bound(r) * _shell_share(n, r, rho))
-    volume = _ball_volume(n, r)
     return AnnulusComparison(_lebesgue(left, volume), _lebesgue(right, volume),
                              deviation)
 

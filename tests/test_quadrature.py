@@ -14,7 +14,7 @@ from blowup import cli, local_model, quadrature
 from blowup.exact_field import eval_at
 from blowup.local_model import (LocalHamiltonian, LocalModelParams,
                                 _chart, _complexify, _jacobian,
-                                _profile_slope, _shell_moments,
+                                _shell_moments,
                                 _shell_samples, beta_profile)
 from blowup.quadrature import (
     MC_SEED,
@@ -163,6 +163,29 @@ def test_argument_validation():
         IntegralResult(1.0, -0.5, "product-gauss", 32)
 
 
+@pytest.mark.parametrize("scheme", ["product-gauss", "monte-carlo"])
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, -0.5])
+def test_integrate_ball_refuses_a_radius_that_is_not_finite_positive(
+        scheme, radius):
+    # a NaN radius used to give value nan, and inf gave -inf
+    h = LocalHamiltonian(weights=(1, 2), c=0.3)
+    with pytest.raises(ValueError, match="finite and positive"):
+        integrate_ball(h, radius, 2, scheme=scheme)
+
+
+@pytest.mark.parametrize("scheme", ["product-gauss", "monte-carlo"])
+def test_integrate_ball_overflows_before_it_draws(monkeypatch, scheme):
+    # the volume of the 1e200-ball is past the float range; Monte-Carlo
+    # used to draw 61,686 points and warn of an overflow before it raised
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew points for a volume that overflows")
+
+    monkeypatch.setattr(quadrature, "_shell_moments", no_draws)
+    h = LocalHamiltonian(weights=(1, 2), c=0.3)
+    with pytest.raises(OverflowError):
+        integrate_ball(h, 1e200, 2, scheme=scheme)
+
+
 # --------------------------------------------------------- annulus pushforward
 
 
@@ -307,16 +330,23 @@ def test_verify_integrals_build_one_jacobian_per_order(monkeypatch):
     # the chart determinant comes from one closed-form slope call per order
     calls = []
     widths = []
+    drawn = []
+    profile_square = quadrature._profile_square
 
-    def counting_slope(s, beta, params):
+    def counting_square(s, params):
         calls.append(np.size(s))
-        return _profile_slope(s, beta, params)
+        return profile_square(s, params)
+
+    def counting_moments(rngs, counts, basis, radius, inner=0.0):
+        drawn.append(sum(counts))
+        return _shell_moments(rngs, counts, basis, radius, inner)
 
     def recording_jacobian(real_map, coords):
         widths.append(coords.shape[1])
         return _jacobian(real_map, coords)
 
-    monkeypatch.setattr(quadrature, "_profile_slope", counting_slope)
+    monkeypatch.setattr(quadrature, "_profile_square", counting_square)
+    monkeypatch.setattr(quadrature, "_shell_moments", counting_moments)
     monkeypatch.setattr(local_model, "_jacobian", recording_jacobian)
     assert not hasattr(quadrature, "_jacobian")
     assert not hasattr(quadrature, "beta_profile")
@@ -332,11 +362,14 @@ def test_verify_integrals_build_one_jacobian_per_order(monkeypatch):
     assert all(row.passed for row in rows)
     # orders 32 and 16, three panels each, shared by both loops and checks
     assert calls == [3 * 32, 3 * 16]
-    # the Monte-Carlo side takes the same slope, once per block
+    assert drawn == []
+    # the Monte-Carlo side takes the same slope; 160 draws are one pass of
+    # 16 blocks of 10, so each side makes one draw and the left one weight
     calls.clear()
     h = LocalHamiltonian(weights=(1, 2), c=0.5)
     verify_annulus_pushforward(h, params, "monte-carlo", samples=160)
-    assert calls == [10] * 16
+    assert calls == [160]
+    assert drawn == [160, 160]
     # no pullback takes _jacobian of the chart at all
     assert widths == []
 
@@ -376,16 +409,40 @@ def test_monte_carlo_pullback_matches_closed_form_determinant(n, seed):
     assert abs(left.value - exact.value) <= 1e-6 * exact.error_estimate
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 200])
+def test_pullback_weight_is_the_determinant_weight(n):
+    # n (beta^2)' (beta^2/r^2)^(n-1) / r is 2n beta' (beta/r)^(2n-1), which
+    # is written here from the public, checked beta_profile, at both ends of
+    # each panel and inside them; beta^2 is exact at 0 and on the outer band
+    params = LocalModelParams(n=n, rho=0.4, delta=0.2, r=1.0)
+    delta, r = params.delta, params.r
+    s = np.concatenate([[0.0, delta, r - delta, r],
+                        np.linspace(0.0, r, 101),
+                        np.linspace(delta, r - delta, 37)[1:-1]])
+    square, weight = quadrature._pullback_weight(s, params)
+    value, slope = beta_profile(s, params)
+    expected = 2 * n * slope * (value / r) ** (2 * n - 1)
+    assert np.all(np.abs(weight - expected) <= 1e-13 * np.abs(expected))
+    assert np.all(np.abs(square - value * value) <= 1e-13 * value * value)
+    assert (square[0], weight[0]) == (params.rho ** 2, 0.0)
+    outer = s >= r - delta
+    assert square[outer].tobytes() == (s[outer] * s[outer]).tobytes()
+
+
 def test_integral_rows_fail_on_a_wrong_profile_slope(monkeypatch):
     # the right side never touches the chart, so a slope that is not the
     # derivative of the profile breaks the identity: 1e-3 too steep on the
     # transition band fails both chart rows, while the ball row, which
-    # never pulls back, still passes
-    def steep_slope(s, beta, params):
-        band = (s > params.delta) & (s < params.r - params.delta)
-        return _profile_slope(s, beta, params) * np.where(band, 1 + 1e-3, 1.0)
+    # never pulls back, still passes.  beta' is the slope of beta^2 over
+    # 2 beta, so a slope of beta^2 1e-3 too steep is a beta' 1e-3 too steep
+    profile_square = quadrature._profile_square
 
-    monkeypatch.setattr(quadrature, "_profile_slope", steep_slope)
+    def steep_square(s, params):
+        square, slope = profile_square(s, params)
+        band = (s > params.delta) & (s < params.r - params.delta)
+        return square, slope * np.where(band, 1 + 1e-3, 1.0)
+
+    monkeypatch.setattr(quadrature, "_profile_square", steep_square)
     quadrature._pullback_rule.cache_clear()
     manifest = cli.Manifest(
         manifold=ManifoldSpec(n=2, V=Fraction(1), a=Fraction(1)),
@@ -582,6 +639,49 @@ def test_monte_carlo_pushforward_matches_reference(n, seed, samples):
     assert got.left.samples_or_order == got.right.samples_or_order == samples
 
 
+def _reference_block_draws(weights, radius, inner, samples, seed):
+    """Powers and moments drawn block by block, each child on its own."""
+    n = len(weights)
+    basis = np.stack([np.ones(n), weights], axis=1)
+    low = (inner / radius) ** (2 * n)
+    children = np.random.SeedSequence(seed).spawn(16)
+    powers, moments = [], []
+    for block, child in zip(_reference_blocks(samples), children):
+        rng = np.random.default_rng(child)
+        draws = rng.standard_exponential((block, n))
+        powers.append(low + (1.0 - low) * rng.random(block))
+        sums = draws @ basis
+        moments.append(sums[:, 1] / sums[:, 0])
+    return np.concatenate(powers), np.concatenate(moments)
+
+
+@pytest.mark.parametrize("samples", [37, 1_024, 3_171, 16_150, 61_686,
+                                     16 * 4_097 + 3])
+@pytest.mark.parametrize("inner", [0.0, 0.3])
+def test_monte_carlo_passes_draw_the_blocks_draws(samples, inner):
+    # passes of whole blocks fill one buffer per pass, through out=, with
+    # what each block's own generator would draw; a block larger than a
+    # pass is a pass of its own
+    weights, radius, seed = (1.0, 2.0, 3.0), 0.8, 11
+    calls = []
+
+    def recording(powers, moments):
+        calls.append((powers.copy(), moments.copy()))
+        return powers
+
+    quadrature._monte_carlo(recording, weights, radius, samples, seed, inner)
+    powers = np.concatenate([call[0] for call in calls])
+    moments = np.concatenate([call[1] for call in calls])
+    expected_powers, expected_moments = _reference_block_draws(
+        weights, radius, inner, samples, seed)
+    assert powers.tobytes() == expected_powers.tobytes()
+    assert np.all(np.abs(moments - expected_moments)
+                  <= 1e-15 * np.abs(expected_moments))
+    largest = max(_reference_blocks(samples))
+    assert max(len(call[0]) for call in calls) <= max(
+        quadrature._MC_PASS, largest)
+
+
 # ------------------------------------------------------ ball-and-shell sampler
 
 
@@ -631,10 +731,11 @@ def _dirichlet_moment_power(weights, power):
 def test_shell_moments_follow_the_uniform_direction_law(n, inner):
     # q = sum_j w_j |u_j|^2 for u uniform on the unit sphere of C^n
     weights, radius, count = (3, -1, 2, 5)[:n], 0.8, 20_000
-    powers, moments = _shell_moments(np.random.default_rng(n), count,
-                                     weights, radius, inner)
-    again = _shell_moments(np.random.default_rng(n), count, weights, radius,
-                           inner)
+    basis = np.stack([np.ones(n), weights], axis=1)
+    powers, moments = _shell_moments([np.random.default_rng(n)], [count],
+                                     basis, radius, inner)
+    again = _shell_moments([np.random.default_rng(n)], [count], basis,
+                           radius, inner)
     assert powers.tobytes() == again[0].tobytes()
     assert moments.tobytes() == again[1].tobytes()
     assert powers.shape == moments.shape == (count,)
@@ -789,11 +890,11 @@ def test_monte_carlo_pullback_at_a_zero_radius(monkeypatch):
     # too: a draw there adds 0, and nothing divides by zero (the suite
     # makes every RuntimeWarning an error)
     params = LocalModelParams(n=3, rho=0.3, delta=0.2, r=1.0)
-    beta, weight = quadrature._pullback_weight(np.zeros(1), params)
-    assert (beta[0], weight[0]) == (0.3, 0.0)
+    square, weight = quadrature._pullback_weight(np.zeros(1), params)
+    assert (square[0], weight[0]) == (0.3 * 0.3, 0.0)
 
-    def with_a_zero(rng, count, weights, radius, inner=0.0):
-        powers, moments = _shell_moments(rng, count, weights, radius, inner)
+    def with_a_zero(rngs, counts, basis, radius, inner=0.0):
+        powers, moments = _shell_moments(rngs, counts, basis, radius, inner)
         powers[0] = 0.0
         return powers, moments
 
