@@ -49,9 +49,8 @@ differently on a transposed view), LocalHamiltonian.values, and two
 uniform ball-or-shell draws that share one radius law, _shell_powers:
 points (_shell_samples, from Gaussian directions) and powers
 (|x|/radius)^(2n) with weighted direction moments (_shell_moments, from
-the Dirichlet law of a uniform direction's squared moduli, for several
-generators' draws at once), which quadrature.py takes with the band and
-the smoothstep.
+the Dirichlet law of a uniform direction's squared moduli), which
+quadrature.py takes with the band and the smoothstep.
 
 Checks run over all their seeded samples at once; a map given to
 symplectic_pullback_check as a matrix is applied to all of them with one
@@ -458,7 +457,7 @@ def _shell_samples(rng, count, n, radius, inner=0.0):
     return directions * radii[:, None]
 
 
-def _shell_moments(rngs, counts, basis, radius, inner=0.0):
+def _shell_moments(rng, count, basis, radius, inner=0.0):
     """Powers (|x|/radius)^(2n) and moments sum_j w_j |x_j|^2 / |x|^2.
 
     The two numbers a circle-type Hamiltonian reads of a uniform point of
@@ -471,20 +470,10 @@ def _shell_moments(rngs, counts, basis, radius, inner=0.0):
     small product E @ basis and one divide per row, with no direction ever
     formed; basis is the (n, 2) matrix of columns 1 and w.
 
-    counts[i] points come from rngs[i], in turn.  Each generator draws its
-    exponentials and then its uniforms straight into its own slice of one
-    buffer each (out=), so every point is the one that a call per
-    generator would draw, while one product and one divide serve them all.
+    The count draws come from rng: all exponentials, then all uniforms.
     """
-    draws = np.empty((sum(counts), len(basis)))
-    uniforms = np.empty(len(draws))
-    stop = 0
-    for rng, count in zip(rngs, counts):
-        start, stop = stop, stop + count
-        rng.standard_exponential(out=draws[start:stop])
-        rng.random(out=uniforms[start:stop])
-    sums = draws @ basis
-    return (_shell_powers(uniforms, len(basis), radius, inner),
+    sums = rng.standard_exponential((count, len(basis))) @ basis
+    return (_shell_powers(rng.random(count), len(basis), radius, inner),
             sums[:, 1] / sums[:, 0])
 
 

@@ -20,11 +20,9 @@ at every n (_ball_mean), and an annulus mean the r-ball's less
 (rho/r)^(2n) times the rho-ball's (_annulus_mean).  monte-carlo draws
 uniform points of a ball or an annulus as powers u = (|x|/R)^(2n) and
 direction moments (_shell_moments), so H there is -pi R^2 u^(1/n) q + c.
-The draws come from 16 seeded children, one block each; consecutive
-whole blocks form passes of at most _MC_PASS = 4,096 draws, with one
-draw and one integrand call per pass (_monte_carlo).  Every draw is the
-one its block's own generator gives, so the grouping moves a result by
-rounding only.
+Each side draws from one generator, default_rng(seed), in passes of at
+most _MC_PASS = 4,096 draws, with one draw and one integrand call per
+pass (_monte_carlo).
 
 The pushforward checks take the mean of H over the annulus rho < |z| <= r
 directly, and pulled back through the radial chart F(x) = beta(|x|) x/|x|
@@ -51,6 +49,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -69,11 +68,10 @@ __all__ = [
 ]
 
 MC_SEED = 0xC0FFEE
-_MC_BLOCKS = 16
-# draws per Monte-Carlo pass at most, unless one block is larger: a pass's
-# buffers stay below glibc's mmap threshold, so no op faults them in anew
+# draws per Monte-Carlo pass at most: a pass's buffers stay below glibc's
+# mmap threshold, so no op faults them in anew
 _MC_PASS = 4096
-# the least default Monte-Carlo count, 64 draws per block
+# the least default Monte-Carlo count
 _MC_MIN_SAMPLES = 1024
 _MC_DEFENSIVE = 0.05  # the pullback's share of draws of radial law 2t
 # product-gauss nodes per pullback panel; the error estimate compares
@@ -156,45 +154,48 @@ def _annulus_mean(h, r, rho, n):
 
 
 def _monte_carlo(integrand, weights, radius, samples, seed, inner=0.0):
-    """Block-deterministic Monte-Carlo mean over the radius-ball in R^(2n).
+    """Seeded Monte-Carlo mean over the radius-ball in R^(2n).
 
     The integrand is zero below inner; n is the number of weights.  The
-    samples, _default_samples(n) when None, split into _MC_BLOCKS blocks,
-    each drawing its own count in inner <= |x| <= radius from its own
-    child of SeedSequence(seed), so results are bit-stable.  Consecutive
-    whole blocks form passes of at most _MC_PASS draws, a larger block a
-    pass of its own; integrand maps a pass's powers (|x|/radius)^(2n) and
-    direction moments (_shell_moments) to values, one call per pass.  A
-    pass draws what its blocks would draw one by one.
+    samples, _default_samples(n) when None, are drawn in inner <= |x| <=
+    radius from one default_rng(seed), so results are bit-stable, in passes
+    of at most _MC_PASS draws; integrand maps a pass's powers
+    (|x|/radius)^(2n) and direction moments (_shell_moments) to values, one
+    call per pass.
     """
     n = len(weights)
-    samples = _default_samples(n) if samples is None else samples
-    if samples < 1:
-        raise ValueError("monte-carlo needs a positive sample count")
-    children = np.random.SeedSequence(seed).spawn(_MC_BLOCKS)
-    base, extra = divmod(samples, _MC_BLOCKS)
-    # below _MC_BLOCKS samples, the blocks that draw nothing are left out
-    counts = ([base + 1] * extra + [base] * (_MC_BLOCKS - extra))[:samples]
+    samples = _default_samples(n) if samples is None else _integer(
+        samples, 1, "monte-carlo needs a positive sample count")
+    rng = np.random.default_rng(
+        _integer(seed, 0, "monte-carlo needs a nonnegative integer seed"))
     basis = np.stack([np.ones(n), np.asarray(weights, dtype=float)], axis=1)
     total = total_sq = 0.0
-    start = 0
-    while start < len(counts):
-        stop, size = start + 1, counts[start]
-        while stop < len(counts) and size + counts[stop] <= _MC_PASS:
-            size += counts[stop]
-            stop += 1
-        rngs = [np.random.default_rng(child) for child in children[start:stop]]
-        values = integrand(*_shell_moments(rngs, counts[start:stop], basis,
-                                           radius, inner))
+    for start in range(0, samples, _MC_PASS):
+        values = integrand(*_shell_moments(
+            rng, min(_MC_PASS, samples - start), basis, radius, inner))
         total += float(np.sum(values))
         total_sq += float(np.sum(values * values))
-        start = stop
     share = _shell_share(n, radius, inner)
     mean = total / samples
     variance = max(total_sq / samples - mean * mean, 0.0)
     # one draw has a sample variance of 0, which bounds nothing
     error = math.sqrt(variance / samples) if samples > 1 else math.inf
     return IntegralResult(share * mean, share * error, "monte-carlo", samples)
+
+
+def _integer(value, minimum, message):
+    """value as a plain int no less than minimum, else ValueError(message).
+
+    operator.index takes every integer type, numpy's too, and refuses a
+    float, a string and None.
+    """
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(message) from None
+    if value < minimum:
+        raise ValueError(message)
+    return value
 
 
 def _relative_deviation(value, reference, size):

@@ -145,10 +145,40 @@ def test_monte_carlo_agrees_with_gauss():
 def test_monte_carlo_rejects_an_empty_sample_count():
     params = LocalModelParams(n=2, rho=0.3, delta=0.2, r=1.0)
     h = LocalHamiltonian(weights=(1, 2))
-    with pytest.raises(ValueError, match="positive sample count"):
-        integrate_ball(h, 0.5, 2, scheme="monte-carlo", samples=0)
-    with pytest.raises(ValueError, match="positive sample count"):
-        verify_annulus_pushforward(h, params, scheme="monte-carlo", samples=0)
+    # 5000.0 used to raise a TypeError from inside the draw
+    for samples in (0, -3, 5000.0, 1.5, "160"):
+        with pytest.raises(ValueError, match="positive sample count"):
+            integrate_ball(h, 0.5, 2, scheme="monte-carlo", samples=samples)
+        with pytest.raises(ValueError, match="positive sample count"):
+            verify_annulus_pushforward(h, params, scheme="monte-carlo",
+                                       samples=samples)
+    # a numpy count is read as a plain int, and the values stay floats
+    ball = integrate_ball(h, 0.5, 2, scheme="monte-carlo",
+                          samples=np.int64(5000))
+    assert type(ball.samples_or_order) is int and ball.samples_or_order == 5000
+    assert type(ball.value) is float
+    assert ball == integrate_ball(h, 0.5, 2, scheme="monte-carlo",
+                                  samples=5000)
+    left, right, deviation = verify_annulus_pushforward(
+        h, params, scheme="monte-carlo", samples=np.int64(5000))
+    for side in (left, right):
+        assert type(side.samples_or_order) is int
+        assert type(side.value) is type(side.error_estimate) is float
+    assert type(deviation) is float
+
+
+@pytest.mark.parametrize("seed", [None, 1.5, "7", -1])
+def test_monte_carlo_refuses_a_seed_that_is_not_a_nonnegative_integer(seed):
+    # None drew from OS entropy, so two calls differed; the annulus check
+    # raised a TypeError from seed + 1
+    params = LocalModelParams(n=2, rho=0.3, delta=0.2, r=1.0)
+    h = LocalHamiltonian(weights=(1, 2))
+    with pytest.raises(ValueError, match="nonnegative integer seed"):
+        integrate_ball(h, 0.5, 2, scheme="monte-carlo", samples=160,
+                       seed=seed)
+    with pytest.raises(ValueError, match="nonnegative integer seed"):
+        verify_annulus_pushforward(h, params, scheme="monte-carlo",
+                                   samples=160, seed=seed)
 
 
 def test_argument_validation():
@@ -337,9 +367,9 @@ def test_verify_integrals_build_one_jacobian_per_order(monkeypatch):
         calls.append(np.size(s))
         return profile_square(s, params)
 
-    def counting_moments(rngs, counts, basis, radius, inner=0.0):
-        drawn.append(sum(counts))
-        return _shell_moments(rngs, counts, basis, radius, inner)
+    def counting_moments(rng, count, basis, radius, inner=0.0):
+        drawn.append(count)
+        return _shell_moments(rng, count, basis, radius, inner)
 
     def recording_jacobian(real_map, coords):
         widths.append(coords.shape[1])
@@ -363,8 +393,8 @@ def test_verify_integrals_build_one_jacobian_per_order(monkeypatch):
     # orders 32 and 16, three panels each, shared by both loops and checks
     assert calls == [3 * 32, 3 * 16]
     assert drawn == []
-    # the Monte-Carlo side takes the same slope; 160 draws are one pass of
-    # 16 blocks of 10, so each side makes one draw and the left one weight
+    # the Monte-Carlo side takes the same slope; 160 draws are one pass,
+    # so each side makes one draw and the left one weight
     calls.clear()
     h = LocalHamiltonian(weights=(1, 2), c=0.5)
     verify_annulus_pushforward(h, params, "monte-carlo", samples=160)
@@ -478,11 +508,11 @@ def test_integral_rows_read_alike_at_a_tiny_scale(n):
 # ------------------------------------------- Monte-Carlo reference copies
 # The cube-and-reject block loops that the ball-and-shell sampler replaced,
 # kept as the oracle for its standard error at 200k cube draws, and the
-# shell-sampled and defensive-mixture estimators on points that
-# _monte_carlo must match.  The program reads each draw as a radius and a
-# weighted direction moment and never forms the point, so it rounds
-# differently: the tests allow 1e-9 of a standard error in the value and
-# in the standard error itself.
+# shell-sampled and defensive-mixture estimators on points, drawn pass by
+# pass from one generator, that _monte_carlo must match.  The program
+# reads each draw as a radius and a weighted direction moment and never
+# forms the point, so it rounds differently: the tests allow 1e-9 of a
+# standard error in the value and in the standard error itself.
 
 def _reference_blocks(samples):
     base, extra = divmod(samples, 16)
@@ -553,7 +583,7 @@ def _reference_mc_region(h, params, samples, seed, pullback):
 
 def _reference_mc_shell(values_of, n, radius, inner, samples, seed,
                         mixture=False):
-    """The shell-sampled estimator written out, block by block.
+    """The shell-sampled estimator written out, pass by pass.
 
     With mixture, the ball's radial law 2n t^(2n-1) gives way to the
     pullback's defensive mixture (1 - a) 2n t^(2n-1) + a 2t, each value
@@ -561,19 +591,17 @@ def _reference_mc_shell(values_of, n, radius, inner, samples, seed,
     """
     dim = 2 * n
     volume = math.pi ** n / math.factorial(n) * (radius ** dim - inner ** dim)
-    children = np.random.SeedSequence(seed).spawn(16)
+    rng = np.random.default_rng(seed)
     total = 0.0
     total_sq = 0.0
-    for block, child in zip(_reference_blocks(samples), children):
-        if block == 0:
-            continue
-        rng = np.random.default_rng(child)
+    for start in range(0, samples, quadrature._MC_PASS):
+        count = min(quadrature._MC_PASS, samples - start)
         # squared direction moduli E_j / sum E are those of a uniform
         # direction; H is circle-invariant, so the point may sit on the real
         # axis of each complex coordinate
-        draws = rng.standard_exponential((block, n))
+        draws = rng.standard_exponential((count, n))
         low = (inner / radius) ** dim
-        uniform = rng.random(block)
+        uniform = rng.random(count)
         radii = radius * (low + (1.0 - low) * uniform) ** (1 / dim)
         ratio = 1.0
         if mixture:
@@ -583,7 +611,7 @@ def _reference_mc_shell(values_of, n, radius, inner, samples, seed,
             density = dim * t ** (dim - 1)
             ratio = density / ((1 - a) * density + 2 * a * t)
             radii = radius * t
-        points = np.zeros((block, dim))
+        points = np.zeros((count, dim))
         points[:, 0::2] = radii[:, None] * np.sqrt(
             draws / draws.sum(axis=1, keepdims=True))
         values = values_of(points) * ratio
@@ -600,7 +628,7 @@ def assert_matches_reference(got, expected):
     assert abs(got.error_estimate - stderr) <= 1e-9 * stderr
 
 
-# 37 samples leave blocks of two and three draws
+# 37 samples are one short pass, 5,000 a full pass and a short one
 MC_CASES = [(n, seed, samples) for n in (1, 2, 3, 4)
             for seed in (0, MC_SEED) for samples in (37, 5_000)]
 
@@ -639,29 +667,13 @@ def test_monte_carlo_pushforward_matches_reference(n, seed, samples):
     assert got.left.samples_or_order == got.right.samples_or_order == samples
 
 
-def _reference_block_draws(weights, radius, inner, samples, seed):
-    """Powers and moments drawn block by block, each child on its own."""
-    n = len(weights)
-    basis = np.stack([np.ones(n), weights], axis=1)
-    low = (inner / radius) ** (2 * n)
-    children = np.random.SeedSequence(seed).spawn(16)
-    powers, moments = [], []
-    for block, child in zip(_reference_blocks(samples), children):
-        rng = np.random.default_rng(child)
-        draws = rng.standard_exponential((block, n))
-        powers.append(low + (1.0 - low) * rng.random(block))
-        sums = draws @ basis
-        moments.append(sums[:, 1] / sums[:, 0])
-    return np.concatenate(powers), np.concatenate(moments)
-
-
-@pytest.mark.parametrize("samples", [37, 1_024, 3_171, 16_150, 61_686,
-                                     16 * 4_097 + 3])
+@pytest.mark.parametrize("samples", [37, 1_024, 3_171, 4_096, 4_097, 16_150,
+                                     61_686, 16 * 4_097 + 3])
 @pytest.mark.parametrize("inner", [0.0, 0.3])
 def test_monte_carlo_passes_draw_the_blocks_draws(samples, inner):
-    # passes of whole blocks fill one buffer per pass, through out=, with
-    # what each block's own generator would draw; a block larger than a
-    # pass is a pass of its own
+    # each pass draws its block of the one stream of the seed, exponentials
+    # and then uniforms, as a loop of passes over one generator would; no
+    # integrand call gets more than a pass
     weights, radius, seed = (1.0, 2.0, 3.0), 0.8, 11
     calls = []
 
@@ -672,14 +684,21 @@ def test_monte_carlo_passes_draw_the_blocks_draws(samples, inner):
     quadrature._monte_carlo(recording, weights, radius, samples, seed, inner)
     powers = np.concatenate([call[0] for call in calls])
     moments = np.concatenate([call[1] for call in calls])
-    expected_powers, expected_moments = _reference_block_draws(
-        weights, radius, inner, samples, seed)
+    basis = np.stack([np.ones(len(weights)), weights], axis=1)
+    low = (inner / radius) ** (2 * len(weights))
+    rng = np.random.default_rng(seed)
+    expected_powers, expected_moments = [], []
+    for start in range(0, samples, quadrature._MC_PASS):
+        count = min(quadrature._MC_PASS, samples - start)
+        sums = rng.standard_exponential((count, len(weights))) @ basis
+        expected_powers.append(low + (1.0 - low) * rng.random(count))
+        expected_moments.append(sums[:, 1] / sums[:, 0])
+    expected_powers = np.concatenate(expected_powers)
+    expected_moments = np.concatenate(expected_moments)
     assert powers.tobytes() == expected_powers.tobytes()
     assert np.all(np.abs(moments - expected_moments)
                   <= 1e-15 * np.abs(expected_moments))
-    largest = max(_reference_blocks(samples))
-    assert max(len(call[0]) for call in calls) <= max(
-        quadrature._MC_PASS, largest)
+    assert max(len(call[0]) for call in calls) <= quadrature._MC_PASS
 
 
 # ------------------------------------------------------ ball-and-shell sampler
@@ -732,10 +751,10 @@ def test_shell_moments_follow_the_uniform_direction_law(n, inner):
     # q = sum_j w_j |u_j|^2 for u uniform on the unit sphere of C^n
     weights, radius, count = (3, -1, 2, 5)[:n], 0.8, 20_000
     basis = np.stack([np.ones(n), weights], axis=1)
-    powers, moments = _shell_moments([np.random.default_rng(n)], [count],
-                                     basis, radius, inner)
-    again = _shell_moments([np.random.default_rng(n)], [count], basis,
-                           radius, inner)
+    powers, moments = _shell_moments(np.random.default_rng(n), count, basis,
+                                     radius, inner)
+    again = _shell_moments(np.random.default_rng(n), count, basis, radius,
+                           inner)
     assert powers.tobytes() == again[0].tobytes()
     assert moments.tobytes() == again[1].tobytes()
     assert powers.shape == moments.shape == (count,)
@@ -869,12 +888,13 @@ def test_monte_carlo_pullback_within_five_sigma_over_200_seeds():
 def test_monte_carlo_pullback_two_sigma_coverage(n):
     # a bounded weight makes the standard error honest: 2-sigma intervals
     # of 4,000 draws cover the product-gauss pullback about 95% of the
-    # time, a share that moves by 0.013 or so over 300 models, and none
-    # misses by 5 sigma.  The uniform-ball pullback covered as often, but
-    # missed two n = 4 models by 5.0 and 5.5 of its standard errors
+    # time, a share that moves by 0.0063 or so over 1,200 models, so the
+    # band is 4.8 of those either way, and none misses by 5 sigma.  The
+    # uniform-ball pullback covered as often, but missed two n = 4 models
+    # by 5.0 and 5.5 of its standard errors
     rng = random.Random(n)
     covered = 0
-    for _ in range(300):
+    for _ in range(1_200):
         h, params, seed = _benchmark_shaped(rng, n)
         reference = verify_annulus_pushforward(h, params).left.value
         left = verify_annulus_pushforward(h, params, "monte-carlo",
@@ -882,7 +902,7 @@ def test_monte_carlo_pullback_two_sigma_coverage(n):
         miss = abs(left.value - reference)
         covered += miss <= 2 * left.error_estimate
         assert miss <= 5 * left.error_estimate
-    assert 0.92 <= covered / 300 <= 0.98
+    assert 0.92 <= covered / 1_200 <= 0.98
 
 
 def test_monte_carlo_pullback_at_a_zero_radius(monkeypatch):
@@ -893,8 +913,8 @@ def test_monte_carlo_pullback_at_a_zero_radius(monkeypatch):
     square, weight = quadrature._pullback_weight(np.zeros(1), params)
     assert (square[0], weight[0]) == (0.3 * 0.3, 0.0)
 
-    def with_a_zero(rngs, counts, basis, radius, inner=0.0):
-        powers, moments = _shell_moments(rngs, counts, basis, radius, inner)
+    def with_a_zero(rng, count, basis, radius, inner=0.0):
+        powers, moments = _shell_moments(rng, count, basis, radius, inner)
         powers[0] = 0.0
         return powers, moments
 
