@@ -42,36 +42,42 @@ r = 1, with c/r^2 for c.
 The batched chart kernel of the package lives here: _realify and
 _complexify, the band position _band, the profile _profile_raw and its
 slope _profile_slope, the chart _chart, which scales real (N, 2n) rows
-by beta(|x|)/|x|, the central-difference Jacobian _jacobian of a batched
-real map, called on all "+step" and then all "-step" copies of the rows
-into a C-contiguous array (the @ products of the checks round
-differently on a transposed view), LocalHamiltonian.values, and two
-uniform ball-or-shell draws that share one radius law, _shell_powers:
-points (_shell_samples, from Gaussian directions) and powers
-(|x|/radius)^(2n) with weighted direction moments (_shell_moments, from
-the Dirichlet law of a uniform direction's squared moduli), which
-quadrature.py takes with the band and the smoothstep.
+by beta(|x|)/|x|, the directional central difference _central_difference
+of a batched real map, one call on the stacked rows x + h v and x - h v,
+the central-difference Jacobian _jacobian of a batched real map, which
+only the callable path of symplectic_pullback_check takes (its map runs
+on all "+step" and then all "-step" copies of the rows, into a
+C-contiguous array, since the @ products round differently on a
+transposed view), LocalHamiltonian.values, and two uniform ball-or-shell
+draws that share one radius law, _shell_powers: points (_shell_samples,
+from Gaussian directions) and powers (|x|/radius)^(2n) with weighted
+direction moments (_shell_moments, from the Dirichlet law of a uniform
+direction's squared moduli), which quadrature.py takes with the band and
+the smoothstep.
 
 Checks run over all their seeded samples at once; a map given to
 symplectic_pullback_check as a matrix is applied to all of them with one
-product, points @ matrix.T, and a callable of one point goes through the
-row loop _rows.  Deviations are reduced with np.max, so a NaN sample
-gives a NaN deviation, which never passes, and a check that samples
-nothing fails.
+product, points @ matrix.T, and its symplectic defect is read off the
+n x n matrix itself, while a callable of one point goes through the row
+loop _rows and a finite-difference Jacobian.  So no check that verify
+runs builds a (samples, 2n, 2n) array: its largest are (samples, 2n)
+rows and the n x n matrix.  Deviations are reduced with np.max, so a
+NaN sample gives a NaN deviation, which never passes, and a check that
+samples nothing fails.
 
 Each chart check splits into a seeded frame and a per-loop evaluation.
 The frame is what depends only on the model, the sample count and the
 seed: the s1 points and their turned copies (_s1_frame), the divisor's
 chart and divisor points (_divisor_frame), the pullback's kept points,
 chart images and skipped count (_pullback_frame), and the vector-field
-points, chart images and chart Jacobian (_vector_field_frame).  Each
-builder keeps its last frame, keyed by (params, count, seed) through
-LocalModelParams' value equality and hash, and returns read-only arrays,
-so every loop of one verify run draws, charts and differentiates the
-chart once.  An explicit grid given to symplectic_pullback_check goes
-through the same frame code (_pullback_points) but is not cached.  A
-seed is an integer, so that a frame is a function of its key.  The
-reference matrix J is built once per n (_reference_j), read-only.
+points, chart images and seeded unit directions (_vector_field_frame).
+Each builder keeps its last frame, keyed by (params, count, seed)
+through LocalModelParams' value equality and hash, and returns read-only
+arrays, so every loop of one verify run draws and charts once.  An
+explicit grid given to symplectic_pullback_check goes through the same
+frame code (_pullback_points) but is not cached.  A seed is an integer,
+so that a frame is a function of its key.  The reference matrix J of the
+callable pullback path is built once per n (_reference_j), read-only.
 """
 
 from __future__ import annotations
@@ -537,25 +543,30 @@ def symplectic_pullback_check(map_fn, params, reference_form="blowup",
                               grid=500, seed=0):
     """Check that a chart map preserves the reference symplectic structure.
 
-    map_fn is an (n, n) complex matrix, applied to every sample at once,
+    map_fn is an (n, n) complex matrix A, applied to every sample at once,
     or a callable of one point z.  reference_form selects the convention.
     "blowup" treats map_fn as the chart expression of a lifted map and
     combines two deviations per sample z:
 
       * conjugation: F(map(z)) versus map(F(z)), exact up to roundoff for
         unitary maps since those preserve |z|;
-      * the symplectic condition D^T J D = J for the Jacobian of map_fn,
-        taken by central finite differences at the annulus point F(z).
+      * the symplectic condition D^T J D = J for the Jacobian D of map_fn.
 
-    "standard" runs only the Jacobian condition at the sample points
-    themselves.  grid is a sample count or an explicit (k, n) complex
-    array.  Points with |z| < 1e-8 r are skipped and counted; the named
-    sub-deviations land in extras.
+    "standard" runs only the symplectic condition.  A matrix is its own
+    Jacobian, and omega(u, v) = u^T J v = Im<u, v> = Im sum conj(u_j) v_j,
+    so the entries of D^T J D - J are +-Re G and +-Im G for the n x n
+    G = A^H A - I: the sub-deviation is max(|Re G|, |Im G|), exact up to
+    the roundoff of one product.  A callable's Jacobian is taken by central
+    finite differences at the annulus point F(z) ("blowup") or at z
+    itself ("standard").  grid is a sample count or an explicit (k, n)
+    complex array.  Points with |z| < 1e-8 r are skipped and counted; the
+    named sub-deviations land in extras.
     """
     if reference_form not in ("blowup", "standard"):
         raise ValueError("reference_form must be 'blowup' or 'standard'")
     n = params.n
     if callable(map_fn):
+        matrix = None
         apply = _rows(map_fn)
     else:
         matrix = np.asarray(map_fn, dtype=complex)
@@ -581,12 +592,16 @@ def symplectic_pullback_check(map_fn, params, reference_form="blowup",
                 _complexify(_chart(_realify(images[moved]), params))
                 - apply(_complexify(coords))[moved]), axis=-1)
             extras["conjugation"] = float(np.max(gaps))
-        J = _reference_j(n)
-        jac = _jacobian(lambda x: _realify(apply(_complexify(x))), coords)
-        # D^T J D - J formed in place, one (N, 2n, 2n) temporary beside jac
-        gram = np.swapaxes(jac, 1, 2) @ J @ jac
-        gram -= J
-        extras["symplectic"] = float(np.max(np.abs(gram, out=gram)))
+        if matrix is None:
+            J = _reference_j(n)
+            jac = _jacobian(lambda x: _realify(apply(_complexify(x))), coords)
+            # D^T J D - J formed in place, one (N, 2n, 2n) temporary beside jac
+            gram = np.swapaxes(jac, 1, 2) @ J @ jac
+            gram -= J
+        else:
+            # the real and imaginary parts of G, side by side
+            gram = _realify(matrix.conj().T @ matrix - np.eye(n))
+        extras["symplectic"] = float(np.max(np.abs(gram)))
     return CheckResult(
         check="symplectic-pullback",
         samples=len(points),
@@ -600,13 +615,24 @@ def symplectic_pullback_check(map_fn, params, reference_form="blowup",
 @functools.lru_cache(maxsize=1)
 def _vector_field_frame(params, samples, seed):
     """Seeded points of the shell r/10 <= |x| <= r as real rows, the points
-    and their chart images stacked as one complex (2, N, n) array, and the
-    chart Jacobian at the points."""
+    and their chart images stacked as one complex (2, N, n) array, and one
+    seeded unit direction per point as real rows, drawn after the points."""
     rng = np.random.default_rng(seed)
     coords = _shell_samples(rng, samples, params.n, params.r, params.r / 10.0)
-    chart = lambda x: _chart(x, params)
-    return _frozen(coords, _complexify(np.stack([coords, chart(coords)])),
-                   _jacobian(chart, coords))
+    directions = rng.standard_normal(coords.shape)
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    images = _chart(coords, params)
+    return _frozen(coords, _complexify(np.stack([coords, images])),
+                   directions)
+
+
+def _central_difference(real_map, coords, directions):
+    """(f(x + h v) - f(x - h v)) / (2h) per row, from one map call on the
+    stacked (2N, 2n) rows; real_map takes (M, 2n) rows to (M, ...)."""
+    bumped = coords[None] + np.multiply.outer([FD_STEP, -FD_STEP], directions)
+    plus, minus = real_map(bumped.reshape(-1, coords.shape[1])).reshape(
+        2, len(coords), -1)
+    return (plus - minus) / (2 * FD_STEP)
 
 
 def vector_field_relation_check(loop, params, samples=200, seed=0):
@@ -618,25 +644,34 @@ def vector_field_relation_check(loop, params, samples=200, seed=0):
     spheres on which the radial profile is constant, so no radial
     correction appears; equivalently the right side is beta(|z|) times the
     base field at the unit direction.  Both fields are the loop's closed
-    form, DF a central finite difference: the witness for the chart map.
-    A constant factor on the field passes that, so the row is the larger
-    of its gap and the field's gap from the symplectic gradient (-dH/dy,
-    dH/dx) of H = -pi sum m_j |z_j|^2, differenced centrally at the same
-    samples; extras holds both, "pushforward" and "hamiltonian".
+    form, and DF_z(X~) is one directional central difference of the chart,
+    |X~| (F(z + h u) - F(z - h u)) / (2h) along u = X~/|X~| (0 where X~ =
+    0): the witness for the chart map.  A constant factor on the field
+    passes that, so the row is the larger of its gap and the field's gap
+    from the symplectic gradient of H = -pi sum m_j |z_j|^2, with the
+    convention grad H^T J = X: along one seeded unit direction v per
+    sample, the central difference of H against dH(v) = -omega(X, v) =
+    -sum_j Im(conj(X_j) v_j).  extras holds both, "pushforward" and
+    "hamiltonian".
 
     Samples stay at radius >= r/10, where the finite-difference error of
     DF is far below the 1e-6 tolerance.
     """
-    coords, stacked, chart_jac = _vector_field_frame(params, samples, seed)
+    coords, stacked, directions = _vector_field_frame(params, samples, seed)
     # one call serves both the chart points and their images
     fields = loop.vector_field(stacked)
-    push = chart_jac @ _realify(fields[0])[..., None]
+    lifted = _realify(fields[0])
+    speeds = np.linalg.norm(lifted, axis=1, keepdims=True)
+    push = speeds * _central_difference(
+        lambda x: _chart(x, params), coords,
+        lifted / np.where(speeds > 0.0, speeds, 1.0))
     h = LocalHamiltonian(loop.weights)
-    grad = _jacobian(lambda x: h.values(_complexify(x))[:, None], coords)
-    # the gradient row times J is (-dH/dy_j, dH/dx_j) per coordinate
-    gaps = {"pushforward": push[..., 0] - _realify(fields[1]),
-            "hamiltonian": (grad @ _reference_j(params.n))[:, 0]
-            - _realify(fields[0])}
+    slopes = _central_difference(lambda x: h.values(_complexify(x)), coords,
+                                 directions)[:, 0]
+    # dH(v) = -omega(X, v) = -Im <X, v>
+    dh = -np.sum((fields[0].conj() * _complexify(directions)).imag, axis=1)
+    gaps = {"pushforward": push - _realify(fields[1]),
+            "hamiltonian": slopes - dh}
     extras = {key: float(np.max(np.abs(gap), initial=0.0))
               for key, gap in gaps.items()}
     return CheckResult(

@@ -235,9 +235,7 @@ def integrate_ball(h, radius, n, scheme="product-gauss", samples=None,
     """
     if not 0 < radius < math.inf:
         raise ValueError("radius must be finite and positive")
-    n = int(n)
-    if n < 1:
-        raise ValueError("need at least one complex coordinate")
+    n = _integer(n, 1, "need at least one complex coordinate")
     if len(h.weights) != n:
         raise ValueError("weight count must match n")
     # a volume past the float range raises here, before any draw

@@ -214,27 +214,32 @@ def verify_rows_with_fresh_frames(tmp_path, capsys, loops, name):
 def test_verify_draws_and_charts_once_per_manifest(tmp_path, capsys,
                                                    monkeypatch):
     # every loop reads the chart at the same seeded samples: one draw for
-    # each of the s1, pullback and vector-field frames and one chart
-    # Jacobian per manifest, then one unitary Jacobian and one gradient
-    # per loop
-    draws, jacobians = [], []
-    shell_samples, jacobian = local_model._shell_samples, local_model._jacobian
+    # each of the s1, pullback and vector-field frames, one chart call for
+    # each frame but the s1 one (the divisor frame charts its 64 points),
+    # then per loop one chart of the 150 moved pullback images and one of
+    # the 2 x 120 bumped vector-field rows; no Jacobian at all
+    draws, charts, jacobians = [], [], []
+    shell_samples, chart = local_model._shell_samples, local_model._chart
 
     def counting_draw(*args, **kwargs):
         draws.append(args[1])
         return shell_samples(*args, **kwargs)
 
-    def counting_jacobian(real_map, coords):
-        jacobians.append(len(coords))
-        return jacobian(real_map, coords)
+    def counting_chart(coords, params):
+        charts.append(len(coords))
+        return chart(coords, params)
 
     monkeypatch.setattr(local_model, "_shell_samples", counting_draw)
-    monkeypatch.setattr(local_model, "_jacobian", counting_jacobian)
+    monkeypatch.setattr(local_model, "_chart", counting_chart)
+    monkeypatch.setattr(local_model, "_jacobian",
+                        lambda *args: jacobians.append(args))
     rows = verify_rows_with_fresh_frames(tmp_path, capsys, FRAME_LOOPS,
                                          "three.json")
     assert len(rows) == 1 + 7 * len(FRAME_LOOPS)
     assert sorted(draws) == [120, 150, 500]
-    assert len(jacobians) == 1 + 2 * len(FRAME_LOOPS)
+    assert jacobians == []
+    assert sorted(charts) == sorted([64, 120, 150]
+                                    + [150, 240] * len(FRAME_LOOPS))
     # each loop's rows are bit for bit those of a manifest of it alone
     for loop in FRAME_LOOPS:
         alone = verify_rows_with_fresh_frames(tmp_path, capsys, [loop],

@@ -194,6 +194,17 @@ def test_argument_validation():
 
 
 @pytest.mark.parametrize("scheme", ["product-gauss", "monte-carlo"])
+def test_integrate_ball_reads_n_as_an_integer(scheme):
+    # int(n) took 2.7 and "2" as n = 2 without a word
+    h = LocalHamiltonian(weights=(1, 2), c=0.3)
+    for n in (2.7, "2", None):
+        with pytest.raises(ValueError, match="complex coordinate"):
+            integrate_ball(h, 0.5, n, scheme=scheme, samples=160)
+    assert (integrate_ball(h, 0.5, np.int64(2), scheme=scheme, samples=160)
+            == integrate_ball(h, 0.5, 2, scheme=scheme, samples=160))
+
+
+@pytest.mark.parametrize("scheme", ["product-gauss", "monte-carlo"])
 @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, -0.5])
 def test_integrate_ball_refuses_a_radius_that_is_not_finite_positive(
         scheme, radius):
