@@ -50,6 +50,7 @@ from .local_model import (
     s1_invariance_check,
     symplectic_pullback_check,
     vector_field_relation_check,
+    _slope_candidates,
 )
 from .period import class_order
 from .quadrature import (
@@ -327,15 +328,22 @@ def cmd_rank(manifest):
 def _beta_invariants_check(params):
     """Endpoint exactness and slope bounds as one report row.
 
-    One profile call on k r / grid for k = 0, ..., grid gives both
-    endpoint values and the grid slopes past the origin.
+    One profile call on s = 0, s = r and s = delta + w u for each band
+    position u of _slope_candidates: the band edges delta and r - delta,
+    and the critical points of the slope quartic g, where the
+    constructor's margin is taken.  On the band beta' is g(u) over 2 beta,
+    so it is positive exactly when g is positive at these points; beta' <=
+    1 holds everywhere, as chi' <= 0 and beta >= s.  The slope bounds are
+    read at every radius but 0, where beta' is 0.
     """
-    grid = 10_000
-    value, slope = beta_profile(np.linspace(0.0, params.r, grid + 1), params)
+    radii = [0.0, params.r] + [
+        params.delta + params.width * u
+        for u in _slope_candidates(params.rho, params.width)]
+    value, slope = beta_profile(np.array(radii), params)
     slope = slope[1:]
-    deviation = np.max([abs(value[0] - params.rho), abs(value[-1] - params.r),
+    deviation = np.max([abs(value[0] - params.rho), abs(value[1] - params.r),
                         np.max(slope) - 1.0, -np.min(slope), 0.0])
-    return CheckResult(check="beta-profile", samples=grid,
+    return CheckResult(check="beta-profile", samples=len(radii),
                        max_deviation=float(deviation), tolerance=1e-12)
 
 

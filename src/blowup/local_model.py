@@ -11,20 +11,26 @@ through
 with the profile beta(s) = sqrt(rho^2 * chi(s) + s^2).  Here chi is the
 C^2 quintic step that equals 1 on [0, delta] and 0 on [r - delta, r], so
 beta equals sqrt(rho^2 + s^2) near the origin and s near the boundary,
-both branches exact in floating point at the endpoints.  The exceptional
-divisor itself is represented by unit direction vectors.
+both branches exact in floating point at the endpoints.  At band position
+u it is S(1 - u), S the quintic step from 0 to 1.  The step is symmetric,
+so this is 1 - S(u), but S(v) = v^3 (10 - 15v + 6v^2) has a quadratic
+factor with no real root, so chi >= 0 in floats too, and beta >= s and
+beta' <= 1 hold as computed.  The exceptional divisor itself is
+represented by unit direction vectors.
 
 Profile slope: beta' = (rho^2 * chi' + 2s) / (2 beta) never exceeds 1
 because chi' <= 0 and beta >= s.  Positivity is equivalent to the quartic
 
     g(u) = 2*delta + 2*w*u - (30*rho^2/w) * u^2 (1-u)^2 > 0 on [0, 1],
 
-where w = r - 2*delta is the width of the transition band.  The
-constructor evaluates the exact minimum of g over the unit interval
-(critical points of a cubic) and rejects parameter sets whose profile
-would fail to be strictly increasing.  This is sharper than the uniform
-sufficient bound max|chi'| < 2*delta/rho^2, which rejects perfectly good
-profiles such as rho=0.4, delta=0.2, r=1.
+where w = r - 2*delta is the width of the transition band; at band
+position u, beta' is g(u) over 2 beta.  The constructor takes the minimum
+of g over the unit interval at the band edges and at the critical points
+of g, the roots of a depressed cubic in closed form (_slope_candidates),
+and rejects parameter sets whose profile would fail to be strictly
+increasing.  This is sharper than the uniform sufficient bound max|chi'| <
+2*delta/rho^2, which rejects perfectly good profiles such as rho=0.4,
+delta=0.2, r=1.
 
 The loops are circle actions psi_t z = (exp(-2 pi i m_j t) z_j) of integer
 weights, UnitaryLoop(weights) on C^n with n = len(weights), generated by
@@ -84,6 +90,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,17 +126,17 @@ def _smoothstep_prime(u):
 class LocalModelParams:
     """Profile and chart parameters (n, rho, delta, r), validated.
 
-    Equal and hashed by value, so a model keys the cached frames and
-    quadrature rules; floats compare exactly.
+    n is an integer of any integer type, read as a plain int; a float, a
+    string or None raises ValueError.  Equal and hashed by value, so a
+    model keys the cached frames and quadrature rules; floats compare
+    exactly.
     """
 
     __slots__ = ("n", "rho", "delta", "r")
 
     def __init__(self, n, rho, delta, r):
-        n = int(n)
+        n = _integer(n, 1, "need at least one complex coordinate")
         rho, delta, r = float(rho), float(delta), float(r)
-        if n < 1:
-            raise ValueError("need at least one complex coordinate")
         if not all(math.isfinite(x) for x in (rho, delta, r)):
             raise ValueError("rho, delta and r must be finite")
         if not math.isfinite(math.pi * r * r):
@@ -172,24 +179,57 @@ class LocalModelParams:
             self.n, self.rho, self.delta, self.r)
 
 
+def _integer(value, minimum, message):
+    """value as a plain int no less than minimum, else ValueError(message).
+
+    operator.index takes every integer type, numpy's too, and refuses a
+    float, a string and None.
+    """
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(message) from None
+    if value < minimum:
+        raise ValueError(message)
+    return value
+
+
+def _slope_candidates(rho, width):
+    """Band positions where the slope quartic g can take its minimum.
+
+    g(u) = 2 delta + 2 w u - (30 rho^2/w) u^2 (1-u)^2 on [0, 1], w the
+    band width: the edges 0 and 1, then the roots of g' in [0, 1].  With
+    u = x + 1/2, g' = 0 is the depressed cubic x^3 - x/4 + q = 0, q =
+    -w^2/(60 rho^2).  Its three roots are real exactly when 27 q^2 <=
+    1/16, and then x_k = cos(arccos(-6 sqrt(12) q)/3 - 2 pi k/3)/sqrt(3)
+    (Viete's trigonometric solution), the arccos argument, which is
+    positive, clamped to 1 against rounding; else the one real root has
+    x > 1/2, past the band.
+    """
+    candidates = [0.0, 1.0]
+    q = -width * width / (60.0 * rho * rho)
+    if 27.0 * q * q <= 1.0 / 16.0:
+        angle = math.acos(min(-6.0 * math.sqrt(12.0) * q, 1.0)) / 3.0
+        for k in range(3):
+            x = math.cos(angle - 2.0 * math.pi * k / 3.0) / math.sqrt(3.0)
+            u = 0.5 + x
+            if 0.0 <= u <= 1.0:
+                candidates.append(u)
+    return candidates
+
+
 def _slope_margin(rho, delta, r):
     """Minimum over [0, 1] of g(u) = 2 delta + 2 w u - (30 rho^2/w) u^2(1-u)^2.
 
     Positivity of g is exactly positivity of beta' on the transition band;
-    outside the band beta' > 0 holds automatically.  The critical points
-    of the quartic g solve a cubic, found here via its companion matrix.
+    outside the band beta' > 0 holds automatically.  A minimum of g on
+    [0, 1] lies at an edge or at a critical point, so it is the least
+    value of g at _slope_candidates.
     """
     w = r - 2 * delta
     c = 30.0 * rho * rho / w
-    # g'(u) = 2w - c*(2u - 6u^2 + 4u^3)
-    roots = np.roots([-4.0 * c, 6.0 * c, -2.0 * c, 2.0 * w])
-    candidates = [0.0, 1.0]
-    for root in roots:
-        if abs(root.imag) < 1e-12 and -1e-12 <= root.real <= 1 + 1e-12:
-            candidates.append(min(max(root.real, 0.0), 1.0))
-    def g(u):
-        return 2 * delta + 2 * w * u - c * u * u * (1 - u) ** 2
-    return min(g(u) for u in candidates)
+    return min(2 * delta + 2 * w * u - c * u * u * (1 - u) ** 2
+               for u in _slope_candidates(rho, w))
 
 
 def _band(arr, params):
@@ -210,7 +250,7 @@ def _profile_raw(arr, params):
     extends past r by the identity, which the clipped step gives for free;
     callers that need the [0, r] domain guard go through beta_profile.
     """
-    chi = 1.0 - _smoothstep(_band(arr, params))
+    chi = _smoothstep(1.0 - _band(arr, params))
     value = np.sqrt(params.rho * params.rho * chi + arr * arr)
     value = np.where(chi == 0.0, arr, value)
     return np.where(arr == 0.0, params.rho, value)

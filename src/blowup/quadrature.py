@@ -49,14 +49,13 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .local_model import (CheckResult, _band, _shell_moments, _smoothstep,
-                          _smoothstep_prime)
+from .local_model import (CheckResult, _band, _integer, _shell_moments,
+                          _smoothstep, _smoothstep_prime)
 
 __all__ = [
     "IntegralResult",
@@ -183,21 +182,6 @@ def _monte_carlo(integrand, weights, radius, samples, seed, inner=0.0):
     return IntegralResult(share * mean, share * error, "monte-carlo", samples)
 
 
-def _integer(value, minimum, message):
-    """value as a plain int no less than minimum, else ValueError(message).
-
-    operator.index takes every integer type, numpy's too, and refuses a
-    float, a string and None.
-    """
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(message) from None
-    if value < minimum:
-        raise ValueError(message)
-    return value
-
-
 def _relative_deviation(value, reference, size):
     """|value - reference| relative to |reference|, floored at 1e-12 size.
 
@@ -261,7 +245,7 @@ def _profile_square(s, params):
     """
     u = _band(s, params)
     rho_sq = params.rho * params.rho
-    return (rho_sq * (1.0 - _smoothstep(u)) + s * s,
+    return (rho_sq * _smoothstep(1.0 - u) + s * s,
             rho_sq * (-_smoothstep_prime(u) / params.width) + 2.0 * s)
 
 

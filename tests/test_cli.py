@@ -10,6 +10,7 @@ import sys
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from blowup import cli, local_model
@@ -183,6 +184,72 @@ def test_verify_single_group(tmp_path, capsys):
     assert cli.main(["verify", path, "--check", "beta"]) == 0
     rows = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert [row["check"] for row in rows] == ["beta-profile"]
+
+
+def test_beta_row_reads_the_profile_where_the_margin_is_taken(monkeypatch):
+    # one profile call on 0, r, the band edges and the two critical points
+    # of the slope quartic in the band: six radii, the row's sample count
+    params = local_model.LocalModelParams(2, 0.4, 0.2, 1.0)
+    calls = []
+    profile = cli.beta_profile
+
+    def counting_profile(s, p):
+        calls.append(np.array(s))
+        return profile(s, p)
+
+    monkeypatch.setattr(cli, "beta_profile", counting_profile)
+    row = cli._beta_invariants_check(params)
+    assert len(calls) == 1
+    radii = calls[0]
+    band = local_model._slope_candidates(params.rho, params.width)
+    assert len(band) == 4 and row.samples == len(radii) == 6
+    assert radii.tolist() == [0.0, 1.0] + [0.2 + 0.6 * u for u in band]
+    assert row.check == "beta-profile" and row.tolerance == 1e-12
+    assert row.max_deviation == 0.0 and row.passed
+    # past the band the quartic has no critical point: four radii
+    wide = local_model.LocalModelParams(2, 0.1, 0.2, 1.0)
+    assert len(local_model._slope_candidates(wide.rho, wide.width)) == 2
+    assert cli._beta_invariants_check(wide).samples == 4
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_beta_row_fails_closed_on_a_nan_radius(monkeypatch, index):
+    profile = cli.beta_profile
+
+    def nan_at_one_radius(s, p):
+        value, slope = profile(s, p)
+        value[index] = slope[index] = math.nan
+        return value, slope
+
+    monkeypatch.setattr(cli, "beta_profile", nan_at_one_radius)
+    row = cli._beta_invariants_check(local_model.LocalModelParams(2, 0.4, 0.2,
+                                                                  1.0))
+    assert row.samples == 6
+    assert math.isnan(row.max_deviation) and not row.passed
+
+
+def test_beta_row_fails_on_a_slope_that_dips_below_zero(monkeypatch):
+    # the band term of beta' three times too steep: at the quartic's
+    # critical point u = 0.33 the slope is (0.8 - 3 * 0.39) / (2 beta) < 0
+    params = local_model.LocalModelParams(2, 0.4, 0.2, 1.0)
+    step = local_model._smoothstep_prime
+    monkeypatch.setattr(local_model, "_smoothstep_prime",
+                        lambda u: 3.0 * step(u))
+    row = cli._beta_invariants_check(params)
+    _, slope = local_model.beta_profile(np.linspace(0.0, 1.0, 1001), params)
+    assert np.min(slope) < 0.0
+    assert row.max_deviation > 0.1 and not row.passed
+
+
+def test_beta_row_fails_on_a_profile_that_misses_rho_at_0(monkeypatch):
+    params = local_model.LocalModelParams(2, 0.4, 0.2, 1.0)
+    raw = local_model._profile_raw
+    monkeypatch.setattr(
+        local_model, "_profile_raw",
+        lambda arr, p: np.where(arr == 0.0, p.rho + 1e-9, raw(arr, p)))
+    row = cli._beta_invariants_check(params)
+    assert row.max_deviation == pytest.approx(1e-9, rel=1e-6)
+    assert not row.passed
 
 
 def test_verify_group_choices_cover_contract(tmp_path, capsys):

@@ -34,7 +34,11 @@ from blowup.local_model import (
     _profile_slope,
     _realify,
     _rows,
+    _slope_candidates,
+    _slope_margin,
+    _smoothstep,
 )
+from blowup.quadrature import _profile_square
 
 
 def params_n2(rho=0.3, delta=0.2, r=1.0):
@@ -77,6 +81,135 @@ def test_params_reject_bad_band():
         LocalModelParams(n=2, rho=0.3, delta=0.0, r=1.0)
     with pytest.raises(ValueError, match="2\\*delta"):
         LocalModelParams(n=2, rho=0.3, delta=0.5, r=1.0)
+
+
+def test_params_reject_the_baseline_false_accept():
+    # the companion-matrix margin read 5.6e-17 here; the exact band
+    # quartic on these dyadic inputs has 2 roots in [0, 1], so the profile
+    # dips, and the closed-form margin reads 0.0
+    assert _slope_margin(0.46597886848861014, 0.01, 0.7) <= 0.0
+    with pytest.raises(ValueError, match="not be increasing"):
+        LocalModelParams(n=2, rho=0.46597886848861014, delta=0.01, r=0.7)
+
+
+@pytest.mark.parametrize("n", [2.7, "2", 2.0, None])
+def test_params_refuse_a_dimension_that_is_not_an_integer(n):
+    with pytest.raises(ValueError, match="complex coordinate"):
+        LocalModelParams(n=n, rho=0.4, delta=0.2, r=1.0)
+
+
+# ------------------------------------------------------------ slope margin
+#
+# The constructor takes the minimum of the band quartic at the edges and at
+# the closed-form critical points.  The reference is the companion-matrix
+# solve that the closed form replaced: np.roots of g' = 0, its real roots
+# in [0, 1] taken to 1e-12.
+
+
+def reference_points(rho, delta, r, imag=1e-12):
+    w = r - 2 * delta
+    c = 30.0 * rho * rho / w
+    roots = np.roots([-4.0 * c, 6.0 * c, -2.0 * c, 2.0 * w])
+    return sorted(min(max(x.real, 0.0), 1.0) for x in roots
+                  if abs(x.imag) < imag and -1e-12 <= x.real <= 1 + 1e-12)
+
+
+def reference_margin(rho, delta, r, imag=1e-12):
+    w = r - 2 * delta
+    c = 30.0 * rho * rho / w
+    return min(2 * delta + 2 * w * u - c * u * u * (1 - u) ** 2
+               for u in [0.0, 1.0] + reference_points(rho, delta, r, imag))
+
+
+def margins_agree(got, want, r):
+    # relative, plus a floor of a few ulps of g's size, at most 2r: both
+    # evaluations round, so near a zero margin no relative bound holds
+    return abs(got - want) <= 1e-11 * abs(want) + 8 * math.ulp(2 * r)
+
+
+def test_slope_candidates_match_companion_matrix_roots():
+    rng = np.random.default_rng(36)
+    count = 20_000
+    r = rng.uniform(0.1, 2.0, count)
+    delta = r * rng.uniform(1e-3, 0.4999, count)
+    rho = r * rng.uniform(1e-3, 0.999, count)
+    sizes = set()
+    for a, b, c in zip(rho.tolist(), delta.tolist(), r.tolist()):
+        candidates = _slope_candidates(a, c - 2 * b)
+        assert candidates[:2] == [0.0, 1.0]
+        points = sorted(candidates[2:])
+        expected = reference_points(a, b, c)
+        assert len(points) == len(expected)
+        assert np.allclose(points, expected, rtol=0.0, atol=1e-12)
+        assert margins_agree(_slope_margin(a, b, c), reference_margin(a, b, c),
+                             c)
+        sizes.add(len(points))
+    # the draws meet both cases: one real root, past the band, and three
+    assert sizes == {0, 2}
+
+
+def test_slope_candidates_at_the_double_root():
+    # 27 q^2 = 1/16: the two roots of g' in the band meet at u = 1/2 -
+    # 1/(2 sqrt 3), an inflection of g; within 8 ulps of that rho both
+    # solvers read two roots within sqrt(eps) of it, or the closed form
+    # none, and the margin is g(0) = 2 delta throughout
+    delta, r = 0.2, 1.0
+    w = r - 2 * delta
+    tangent = 0.5 - 1.0 / (2.0 * math.sqrt(3.0))
+    rho = w * math.sqrt(math.sqrt(27.0) / 15.0)
+    for _ in range(8):
+        rho = math.nextafter(rho, 0.0)
+    counts = set()
+    for _ in range(17):
+        points = _slope_candidates(rho, w)[2:]
+        counts.add(len(points))
+        expected = reference_points(rho, delta, r, imag=1e-6)
+        assert len(expected) == 2
+        assert all(abs(u - tangent) <= 1e-7 for u in points + expected)
+        assert _slope_margin(rho, delta, r) == 2 * delta
+        assert margins_agree(_slope_margin(rho, delta, r),
+                             reference_margin(rho, delta, r), r)
+        rho = math.nextafter(rho, 1.0)
+    assert counts == {0, 2}
+
+
+def boundary_weight(delta, r):
+    """The largest float rho that the reference margin accepts."""
+    lo, hi = 0.0, r
+    while math.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if reference_margin(mid, delta, r) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("delta, r", [(0.01, 0.7), (0.2, 1.0), (0.3, 0.9),
+                                      (0.05, 1.0), (0.1, 0.5), (0.02, 0.3)])
+def test_acceptance_matches_the_reference_near_its_boundary(delta, r):
+    # every ulp within 60 of the boundary; the decisions may differ only
+    # where both margins are within 4 ulps of 0, where neither float
+    # decision can be trusted: only an exact one could settle them
+    near_zero = 4 * math.ulp(2 * r)
+    rho = boundary_weight(delta, r)
+    for _ in range(60):
+        rho = math.nextafter(rho, 0.0)
+    decisions = set()
+    for _ in range(121):
+        want = reference_margin(rho, delta, r)
+        try:
+            LocalModelParams(n=2, rho=rho, delta=delta, r=r)
+            accepted = True
+        except ValueError as exc:
+            assert "not be increasing" in str(exc)
+            accepted = False
+        decisions.add(accepted)
+        if accepted != (want > 0):
+            assert abs(want) <= near_zero
+            assert abs(_slope_margin(rho, delta, r)) <= near_zero
+        rho = math.nextafter(rho, 1.0)
+    assert decisions == {True, False}
 
 
 # ------------------------------------------------------------------- profile
@@ -149,6 +282,35 @@ def test_beta_bounds_for_accepted_params(rho, delta):
     assert np.all(value * value <= rho * rho + s * s + 1e-12)
     assert np.all(slope > 0.0)
     assert np.all(slope <= 1.0 + 1e-15)
+
+
+def test_profile_stays_on_its_bounds_at_the_outer_band_edge():
+    # chi = S(1 - u) is >= 0 in floats, where 1 - S(u) read -1.3e-15 at
+    # u = 1 - 2^-53 and gave beta = s - 1 ulp and beta' = 1 + 2^-52 at
+    # s = r - delta; so beta >= s and beta' <= 1 hold as computed
+    positions = 1.0 - np.arange(65) * 2.0 ** -53
+    assert np.all(_smoothstep(1.0 - positions) >= 0.0)
+    assert np.any(1.0 - _smoothstep(positions) < 0.0)
+    rng = np.random.default_rng(12)
+    models = 0
+    while models < 200:
+        r = float(rng.choice([1.0, rng.uniform(0.1, 3.0)]))
+        try:
+            p = LocalModelParams(n=2, rho=r * rng.uniform(0.05, 0.9),
+                                 delta=r * rng.uniform(0.01, 0.45), r=r)
+        except ValueError:
+            continue
+        models += 1
+        edge = p.r - p.delta
+        s = np.concatenate([[edge, p.delta + p.width],
+                            edge - np.arange(1, 65) * math.ulp(edge),
+                            p.delta + p.width * positions])
+        value, slope = beta_profile(s, p)
+        square, _ = _profile_square(s, p)
+        assert np.all(square >= s * s)
+        assert np.all(value >= s)
+        assert np.all(slope <= 1.0)
+        assert np.all(slope > 0.0)
 
 
 # ----------------------------------------------------------------- chart map
@@ -531,7 +693,8 @@ def test_vector_field_relation_detects_scaled_field(monkeypatch):
 def reference_profile(arr, params):
     rho2 = params.rho * params.rho
     u = np.clip((arr - params.delta) / params.width, 0.0, 1.0)
-    chi = 1.0 - u * u * u * (10.0 + u * (-15.0 + 6.0 * u))
+    v = 1.0 - u
+    chi = v * v * v * (10.0 + v * (-15.0 + 6.0 * v))
     chi_prime = -(30.0 * u * u * (1.0 - u) ** 2) / params.width
     value = np.sqrt(rho2 * chi + arr * arr)
     value = np.where(chi == 0.0, arr, value)
@@ -740,8 +903,8 @@ def test_vector_field_relation_nan_scale_fails(monkeypatch):
 
 def test_params_are_equal_and_hashed_by_value():
     p = LocalModelParams(n=2, rho=0.4, delta=0.2, r=1.0)
-    q = LocalModelParams(n=2.0, rho="0.4", delta=0.2, r=1)
-    assert p == q and hash(p) == hash(q)
+    q = LocalModelParams(n=np.int64(2), rho="0.4", delta=0.2, r=1)
+    assert p == q and hash(p) == hash(q) and type(q.n) is int
     assert p != LocalModelParams(n=2, rho=math.nextafter(0.4, 1.0),
                                  delta=0.2, r=1.0)
     assert p != LocalModelParams(n=3, rho=0.4, delta=0.2, r=1.0)
