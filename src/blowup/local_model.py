@@ -33,9 +33,9 @@ increasing.  This is sharper than the uniform sufficient bound max|chi'| <
 delta=0.2, r=1.
 
 The loops are circle actions psi_t z = (exp(-2 pi i m_j t) z_j) of integer
-weights, UnitaryLoop(weights) on C^n with n = len(weights), generated by
-LocalHamiltonian's -pi sum m_j |z_j|^2 + c with c a constant float; the
-loop's field -2 pi i m_j z_j is in closed form.
+weights on C^n, n = len(weights), generated by -pi sum m_j |z_j|^2 + c
+with c a constant float: one class, LocalHamiltonian (also UnitaryLoop),
+gives H, the loop's field -2 pi i m_j z_j and psi_t as its phase vector.
 
 Checks report a CheckResult carrying name, sample count, max deviation,
 tolerance, and a skipped-sample count; finite differences are central
@@ -50,25 +50,23 @@ _complexify, the band position _band, the profile _profile_raw and its
 slope _profile_slope, the chart _chart, which scales real (N, 2n) rows
 by beta(|x|)/|x|, the directional central difference _central_difference
 of a batched real map, one call on the stacked rows x + h v and x - h v,
-the central-difference Jacobian _jacobian of a batched real map, which
-only the callable path of symplectic_pullback_check takes (its map runs
-on all "+step" and then all "-step" copies of the rows, into a
-C-contiguous array, since the @ products round differently on a
-transposed view), LocalHamiltonian.values, and two uniform ball-or-shell
-draws that share one radius law, _shell_powers: points (_shell_samples,
-from Gaussian directions) and powers (|x|/radius)^(2n) with weighted
+the central-difference Jacobian _jacobian, that difference along each
+unit direction, which only the callable path of symplectic_pullback_check
+takes, LocalHamiltonian.values, and two uniform ball-or-shell draws that
+share one radius law, _shell_powers: points (_shell_samples, from
+Gaussian directions) and powers (|x|/radius)^(2n) with weighted
 direction moments (_shell_moments, from the Dirichlet law of a uniform
 direction's squared moduli), which quadrature.py takes with the band and
 the smoothstep.
 
-Checks run over all their seeded samples at once; a map given to
-symplectic_pullback_check as a matrix is applied to all of them with one
-product, points @ matrix.T, and its symplectic defect is read off the
-n x n matrix itself, while a callable of one point goes through the row
-loop _rows and a finite-difference Jacobian.  So no check that verify
-runs builds a (samples, 2n, 2n) array: its largest are (samples, 2n)
-rows and the n x n matrix.  Deviations are reduced with np.max, so a
-NaN sample gives a NaN deviation, which never passes, and a check that
+Checks run over all their seeded samples at once; a diagonal map given
+to symplectic_pullback_check as its phase vector d is applied to all of
+them as points * d, and its symplectic defect is read off d itself,
+while a callable of one point goes through the row loop _rows and a
+finite-difference Jacobian.  So every check here that verify runs is
+O(samples n) in time and memory: its largest arrays are (samples, 2n)
+rows, and none is (n, n).  Deviations are reduced with np.max, so a NaN
+sample gives a NaN deviation, which never passes, and a check that
 samples nothing fails.
 
 Each chart check splits into a seeded frame and a per-loop evaluation.
@@ -315,25 +313,14 @@ def _jacobian(real_map, coords):
     """(N, m, 2n) central-difference Jacobians of a batched real map.
 
     real_map takes (M, 2n) rows to (M, m) rows, m = 2n for a map of the
-    ball and m = 1 for a function.  It runs twice: once on all 2n "+step"
-    copies of the rows, once on all 2n "-step" copies, each stacked as one
-    (2n*N, 2n) batch.  Every entry is still rounded as (F(x + h e_k) -
-    F(x - h e_k)) / (2h) of its own row.  The differences are taken in
-    place in a C-contiguous result, because the @ products that callers
-    form round differently on a transposed view.
+    ball and m = 1 for a function.  Column k is _central_difference along
+    e_k, so the map runs once, on all 4n bumped copies of the rows; the
+    result is C-contiguous, because the @ products that callers form
+    round differently on a transposed view.
     """
-    count, dim = coords.shape
-    bumps = np.eye(dim) * FD_STEP
-
-    def bumped(op):
-        # values[k, i, j] is component j of the map at row i bumped in k
-        values = real_map(op(coords[None], bumps[:, None]).reshape(-1, dim))
-        return values.reshape(dim, count, -1).transpose(1, 2, 0)
-
-    jac = np.ascontiguousarray(bumped(np.add))
-    jac -= bumped(np.subtract)
-    jac /= 2 * FD_STEP
-    return jac
+    dim = coords.shape[1]
+    columns = _central_difference(real_map, coords, np.eye(dim)[:, None])
+    return np.ascontiguousarray(np.moveaxis(columns, 0, -1))
 
 
 def _rows(fn):
@@ -370,20 +357,32 @@ class DivisorDirection:
         return "DivisorDirection(%s)" % (self.w,)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LocalHamiltonian:
-    """Circle-type Hamiltonian -pi sum m_j |z_j|^2 + c of integer weights.
+    """Circle Hamiltonian -pi sum m_j |z_j|^2 + c and the loop it generates.
 
-    c is converted to a float once; a NaN still constructs, and every check
-    it enters then fails closed.
+    The loop is psi_t z = (exp(-2 pi i m_j t) z_j) on C^n, n the number of
+    weights, kept as its diagonal phases(t).  The weights are at least one
+    integer of any integer type, read as plain ints and once as a float
+    array; a float, a string or None raises ValueError.  c is converted to
+    a float once; a NaN still constructs, and every check it enters then
+    fails closed.  Frozen, and equal and hashed by (weights, c).
     """
 
     weights: tuple
     c: float = 0.0
+    _rates: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.weights = tuple(int(m) for m in self.weights)
-        self.c = float(self.c)
+        try:
+            weights = tuple(operator.index(m) for m in self.weights)
+        except TypeError:
+            raise ValueError("loop weights must be integers") from None
+        if not weights:
+            raise ValueError("a loop needs at least one weight")
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "c", float(self.c))
+        object.__setattr__(self, "_rates", np.asarray(weights, dtype=float))
 
     @property
     def weight_sum(self):
@@ -396,12 +395,27 @@ class LocalHamiltonian:
 
     def values(self, points):
         """H on each row of an (N, n) complex array."""
-        weights = np.asarray(self.weights, dtype=float)
-        quad = np.abs(points) ** 2 @ weights
+        quad = np.abs(points) ** 2 @ self._rates
         return -math.pi * quad + self.c
 
     def value(self, z):
         return self.values(np.asarray(z, dtype=complex)[None])[0]
+
+    def phases(self, t):
+        """psi_t at one time t as its diagonal, the (n,) vector
+        exp(-2 pi i m_j t)."""
+        return np.exp(-2j * math.pi * self._rates * float(t))
+
+    def vector_field(self, z):
+        """Velocity -2 pi i m_j z_j at each point of a (..., n) stack.
+
+        A circle action's field does not depend on time.
+        """
+        return -2j * math.pi * self._rates * np.asarray(z, dtype=complex)
+
+
+# the loop a Hamiltonian generates is the same object, under its public name
+UnitaryLoop = LocalHamiltonian
 
 
 def lifted_hamiltonian(h, point, params):
@@ -451,34 +465,6 @@ class CheckResult:
         return "%-26s %5d samples  max dev %.3e  tol %.1e  %s" % (
             self.check, self.samples, self.max_deviation, self.tolerance,
             "pass" if self.passed else "FAIL")
-
-
-class UnitaryLoop:
-    """Circle action psi_t z = (exp(-2 pi i m_j t) z_j) of integer weights.
-
-    The loop that -pi sum m_j |z_j|^2 + c generates, on C^n with n the
-    number of weights.  Its matrices are diagonals of unit phases, so every
-    psi_t is unitary and psi_0 is the identity by construction.
-    """
-
-    __slots__ = ("n", "weights")
-
-    def __init__(self, weights):
-        self.weights = tuple(int(m) for m in weights)
-        self.n = len(self.weights)
-
-    def matrix(self, t):
-        """psi_t at one time t, an (n, n) complex matrix."""
-        return np.diag(np.exp(
-            -2j * math.pi * np.asarray(self.weights, dtype=float) * float(t)))
-
-    def vector_field(self, z):
-        """Velocity -2 pi i m_j z_j at each point of a (..., n) stack.
-
-        A circle action's field does not depend on time.
-        """
-        weights = np.asarray(self.weights, dtype=float)
-        return -2j * math.pi * weights * np.asarray(z, dtype=complex)
 
 
 def _shell_powers(uniforms, n, radius, inner=0.0):
@@ -583,8 +569,9 @@ def symplectic_pullback_check(map_fn, params, reference_form="blowup",
                               grid=500, seed=0):
     """Check that a chart map preserves the reference symplectic structure.
 
-    map_fn is an (n, n) complex matrix A, applied to every sample at once,
-    or a callable of one point z.  reference_form selects the convention.
+    map_fn is a diagonal map z -> d z as its (n,) vector d, applied to
+    every sample at once, or a callable of one point z.  reference_form
+    selects the convention.
     "blowup" treats map_fn as the chart expression of a lifted map and
     combines two deviations per sample z:
 
@@ -592,13 +579,13 @@ def symplectic_pullback_check(map_fn, params, reference_form="blowup",
         unitary maps since those preserve |z|;
       * the symplectic condition D^T J D = J for the Jacobian D of map_fn.
 
-    "standard" runs only the symplectic condition.  A matrix is its own
-    Jacobian, and omega(u, v) = u^T J v = Im<u, v> = Im sum conj(u_j) v_j,
-    so the entries of D^T J D - J are +-Re G and +-Im G for the n x n
-    G = A^H A - I: the sub-deviation is max(|Re G|, |Im G|), exact up to
-    the roundoff of one product.  A callable's Jacobian is taken by central
-    finite differences at the annulus point F(z) ("blowup") or at z
-    itself ("standard").  grid is a sample count or an explicit (k, n)
+    "standard" runs only the symplectic condition.  A linear map A is its
+    own Jacobian, and omega(u, v) = u^T J v = Im<u, v>, so the entries of
+    D^T J D - J are +-Re G and +-Im G for G = A^H A - I; for A = diag(d)
+    the sub-deviation is max_j ||d_j|^2 - 1|, exact up to one product's
+    roundoff.  A callable's Jacobian is taken by central finite
+    differences at the annulus point F(z) ("blowup") or at z itself
+    ("standard").  grid is a sample count or an explicit (k, n)
     complex array.  Points with |z| < 1e-8 r are skipped and counted; the
     named sub-deviations land in extras.
     """
@@ -606,13 +593,14 @@ def symplectic_pullback_check(map_fn, params, reference_form="blowup",
         raise ValueError("reference_form must be 'blowup' or 'standard'")
     n = params.n
     if callable(map_fn):
-        matrix = None
+        phases = None
         apply = _rows(map_fn)
     else:
-        matrix = np.asarray(map_fn, dtype=complex)
-        if matrix.shape != (n, n):
-            raise ValueError("map_fn must be a callable or an (n, n) matrix")
-        apply = lambda points: points @ matrix.T
+        phases = np.asarray(map_fn, dtype=complex)
+        if phases.shape != (n,):
+            raise ValueError("map_fn must be a callable or a diagonal map's "
+                             "(n,) vector")
+        apply = lambda points: points * phases
     if isinstance(grid, (int, np.integer)):
         points, charted, skipped = _pullback_frame(params, int(grid), seed)
     else:
@@ -632,15 +620,15 @@ def symplectic_pullback_check(map_fn, params, reference_form="blowup",
                 _complexify(_chart(_realify(images[moved]), params))
                 - apply(_complexify(coords))[moved]), axis=-1)
             extras["conjugation"] = float(np.max(gaps))
-        if matrix is None:
+        if phases is None:
             J = _reference_j(n)
             jac = _jacobian(lambda x: _realify(apply(_complexify(x))), coords)
             # D^T J D - J formed in place, one (N, 2n, 2n) temporary beside jac
             gram = np.swapaxes(jac, 1, 2) @ J @ jac
             gram -= J
         else:
-            # the real and imaginary parts of G, side by side
-            gram = _realify(matrix.conj().T @ matrix - np.eye(n))
+            # the diagonal of A^H A - I
+            gram = phases.real * phases.real + phases.imag * phases.imag - 1.0
         extras["symplectic"] = float(np.max(np.abs(gram)))
     return CheckResult(
         check="symplectic-pullback",
@@ -667,20 +655,22 @@ def _vector_field_frame(params, samples, seed):
 
 
 def _central_difference(real_map, coords, directions):
-    """(f(x + h v) - f(x - h v)) / (2h) per row, from one map call on the
-    stacked (2N, 2n) rows; real_map takes (M, 2n) rows to (M, ...)."""
-    bumped = coords[None] + np.multiply.outer([FD_STEP, -FD_STEP], directions)
+    """(f(x + h v) - f(x - h v)) / (2h) per row x of coords and direction
+    v, from one map call on all the stacked bumped rows; directions of
+    shape (..., N, 2n) give (..., N, m) for real_map of (M, 2n) to (M, m)."""
+    bumped = coords + np.multiply.outer([FD_STEP, -FD_STEP], directions)
     plus, minus = real_map(bumped.reshape(-1, coords.shape[1])).reshape(
-        2, len(coords), -1)
+        bumped.shape[:-1] + (-1,))
     return (plus - minus) / (2 * FD_STEP)
 
 
 def vector_field_relation_check(loop, params, samples=200, seed=0):
     """A loop's velocity field against the chart map and its Hamiltonian.
 
-    The lifted loop acts in the chart by the same unitary matrices, so its
-    velocity field X~ at z must push forward through F to the base field
-    at the image: DF_z(X~(z)) = X(F(z)).  Both fields are tangent to the
+    loop is a LocalHamiltonian, whose c does not enter.  The lifted loop
+    acts in the chart by the same diagonal unitaries, so its velocity
+    field X~ at z must push forward through F to the base field at the
+    image: DF_z(X~(z)) = X(F(z)).  Both fields are tangent to the
     spheres on which the radial profile is constant, so no radial
     correction appears; equivalently the right side is beta(|z|) times the
     base field at the unit direction.  Both fields are the loop's closed
@@ -705,9 +695,10 @@ def vector_field_relation_check(loop, params, samples=200, seed=0):
     push = speeds * _central_difference(
         lambda x: _chart(x, params), coords,
         lifted / np.where(speeds > 0.0, speeds, 1.0))
-    h = LocalHamiltonian(loop.weights)
-    slopes = _central_difference(lambda x: h.values(_complexify(x)), coords,
-                                 directions)[:, 0]
+    # H without c, which would add only rounding to the differences
+    slopes = _central_difference(
+        lambda x: -math.pi * (np.abs(_complexify(x)) ** 2 @ loop._rates),
+        coords, directions)[:, 0]
     # dH(v) = -omega(X, v) = -Im <X, v>
     dh = -np.sum((fields[0].conj() * _complexify(directions)).imag, axis=1)
     gaps = {"pushforward": push - _realify(fields[1]),

@@ -22,6 +22,7 @@ downstream order and rank decisions are exact.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,7 +43,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CircleLoopSpec:
-    """Weights and time-averaged constant of a circle-type loop."""
+    """Weights and time-averaged constant of a circle-type loop.
+
+    Weights of any integer type are read as ints; others raise ValueError.
+    """
 
     weights: tuple
     C: Fraction = Fraction(0)
@@ -52,7 +56,11 @@ class CircleLoopSpec:
         # a tuple of ints and a Fraction, as a manifest gives them, are kept
         weights = self.weights
         if type(weights) is not tuple or not all(type(m) is int for m in weights):
-            object.__setattr__(self, "weights", tuple(int(m) for m in weights))
+            try:
+                weights = tuple(operator.index(m) for m in weights)
+            except TypeError:
+                raise ValueError("loop weights must be integers") from None
+            object.__setattr__(self, "weights", weights)
         if type(self.C) is not Fraction:
             object.__setattr__(self, "C", Fraction(self.C))
 

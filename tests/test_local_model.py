@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -412,6 +413,40 @@ def test_constant_is_a_float_converted_once():
     assert math.isnan(LocalHamiltonian(weights=(1,), c=math.nan).c)
 
 
+@pytest.mark.parametrize("weights", [(1.5, 2.9), (1.5, "3"), (1, None),
+                                     (2.0,)])
+def test_loop_refuses_weights_that_are_not_integers(weights):
+    # (1.5, "3") was read as (1, 3)
+    for cls in (LocalHamiltonian, UnitaryLoop):
+        with pytest.raises(ValueError, match="integers"):
+            cls(weights)
+
+
+def test_loop_refuses_an_empty_weight_list_at_construction():
+    # it used to construct, and raise only from max() inside bound
+    with pytest.raises(ValueError, match="at least one weight"):
+        LocalHamiltonian(weights=())
+
+
+def test_loop_reads_integer_types_once():
+    h = LocalHamiltonian(weights=np.array([2, -1]), c=0.5)
+    assert h.weights == (2, -1) and all(type(m) is int for m in h.weights)
+    # equal and shown by (weights, c) alone, not by the float array it keeps
+    assert h == LocalHamiltonian(weights=(2, -1), c=0.5)
+    assert h != LocalHamiltonian(weights=(2, -1))
+    assert repr(h) == "LocalHamiltonian(weights=(2, -1), c=0.5)"
+    assert hash(h) == hash(LocalHamiltonian(weights=[2, -1], c=0.5))
+    # frozen, so the float array it keeps cannot drift from its weights
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        h.weights = (1, 1)
+    z = np.array([[0.3 + 0.1j, -0.2j]])
+    assert h.values(z)[0] == pytest.approx(
+        -math.pi * (2 * abs(z[0, 0]) ** 2 - abs(z[0, 1]) ** 2) + 0.5,
+        abs=1e-15)
+    assert np.array_equal(h.vector_field(z), -2j * math.pi * np.array(
+        [2.0, -1.0]) * z)
+
+
 def test_bound_covers_the_hamiltonian_on_the_ball():
     h = LocalHamiltonian(weights=(1, -3), c=-0.5)
     assert h.bound(2.0) == math.pi * 4.0 * 3 + 0.5
@@ -462,9 +497,13 @@ def test_s1_invariance_detects_real_part(monkeypatch):
 
 
 def test_unitary_loop_diagonal_action():
+    # the loop is its Hamiltonian under a second name, and psi_t is the
+    # (n,) diagonal of unit phases, the identity at t = 0 exactly
+    assert UnitaryLoop is LocalHamiltonian
     loop = UnitaryLoop((1, 0))
-    assert loop.n == 2
-    out = loop.matrix(0.25) @ np.array([1.0, 1.0], dtype=complex)
+    assert loop.phases(0.25).shape == (2,)
+    assert np.array_equal(loop.phases(0.0), [1.0, 1.0])
+    out = loop.phases(0.25) * np.array([1.0, 1.0], dtype=complex)
     assert out[0] == pytest.approx(-1j, abs=1e-15)
     assert out[1] == pytest.approx(1.0, abs=1e-15)
 
@@ -477,9 +516,9 @@ def test_unitary_loop_velocity_matches_generator():
     field = loop.vector_field(z)
     assert np.array_equal(field, -2j * math.pi * np.array([1, 3]) * z)
     for t in (0.0, 0.37, 0.81):
-        base = np.linalg.solve(loop.matrix(t), z)
-        witness = (loop.matrix(t + FD_STEP) @ base
-                   - loop.matrix(t - FD_STEP) @ base) / (2 * FD_STEP)
+        base = z / loop.phases(t)
+        witness = (loop.phases(t + FD_STEP) * base
+                   - loop.phases(t - FD_STEP) * base) / (2 * FD_STEP)
         assert np.max(np.abs(field - witness)) <= 1e-6
 
 
@@ -496,7 +535,7 @@ def test_pullback_identity_map():
 def test_pullback_diagonal_unitary():
     p = params_n2(rho=0.4)
     loop = UnitaryLoop((1, 2))
-    result = symplectic_pullback_check(lambda z: loop.matrix(0.3) @ z, p,
+    result = symplectic_pullback_check(lambda z: loop.phases(0.3) * z, p,
                                        grid=500, seed=2)
     assert result.passed
     assert result.extras["conjugation"] <= 1e-12
@@ -515,7 +554,7 @@ def test_pullback_standard_form_on_explicit_grid():
     p = params_n2(rho=0.4)
     pts = np.array([[0.3 + 0.1j, 0.2j], [0.5, 0.1 - 0.2j]])
     loop = UnitaryLoop((2, 1))
-    result = symplectic_pullback_check(lambda z: loop.matrix(0.7) @ z, p,
+    result = symplectic_pullback_check(lambda z: loop.phases(0.7) * z, p,
                                        reference_form="standard", grid=pts)
     assert result.samples == 2
     assert result.max_deviation <= 1e-8
@@ -527,13 +566,19 @@ def random_unitary(n, seed):
     return unitary
 
 
+def random_phases(n, seed):
+    """n seeded unit phases: the diagonal of a random diagonal unitary."""
+    return np.exp(2j * math.pi * np.random.default_rng(seed).random(n))
+
+
 @pytest.mark.parametrize("form", ["blowup", "standard"])
 def test_pullback_matrix_and_callable_agree(form):
+    # a diagonal map given as its phase vector and as a callable of a point
     p = params_n2(rho=0.4)
-    unitary = random_unitary(2, seed=9)
-    by_matrix = symplectic_pullback_check(unitary, p, reference_form=form,
+    phases = random_phases(2, seed=9)
+    by_matrix = symplectic_pullback_check(phases, p, reference_form=form,
                                           grid=200, seed=3)
-    by_callable = symplectic_pullback_check(lambda z: unitary @ z, p,
+    by_callable = symplectic_pullback_check(lambda z: phases * z, p,
                                             reference_form=form, grid=200,
                                             seed=3)
     assert by_matrix.passed
@@ -543,45 +588,53 @@ def test_pullback_matrix_and_callable_agree(form):
     if form == "blowup":
         assert abs(by_matrix.extras["conjugation"]
                    - by_callable.extras["conjugation"]) <= 1e-12
-    # the matrix's defect is exact up to one n x n product, the callable's
+    # the vector's defect is exact up to one product, the callable's
     # carries the rounding of its central differences: each symplectic
     # value meets its own bound rather than the other value
     assert by_matrix.extras["symplectic"] <= 1e-15
     assert by_callable.extras["symplectic"] <= 1e-10
 
 
-def finite_difference_defect(matrix, params, seed):
+def finite_difference_defect(phases, params, seed):
     """max |D^T J D - J| over the central-difference Jacobians D of the
-    matrix map at banded rows: the witness that the callable path reads."""
+    diagonal map z -> phases z at banded rows: the witness that the
+    callable path reads."""
     J = local_model._reference_j(params.n)
-    real_map = lambda x: _realify(_complexify(x) @ matrix.T)
+    real_map = lambda x: _realify(_complexify(x) * phases)
     jac = _jacobian(real_map, banded_rows(params.n, params, seed))
     return float(np.max(np.abs(np.swapaxes(jac, 1, 2) @ J @ jac - J)))
 
 
 @pytest.mark.parametrize("form", ["blowup", "standard"])
 @pytest.mark.parametrize("matrix, defect", [
-    (np.diag([2.0, 1.0]), 3.0),  # A^H A - I = diag(3, 0)
-    (np.array([[1.0, 1.0], [0.0, 1.0]]), 1.0),  # A^H A - I = [[0, 1], [1, 1]]
+    (np.array([2.0, 1.0]), 3.0),  # A^H A - I = diag(3, 0)
+    # A = [[1, 1], [0, 1]], not diagonal, so a callable: A^H A - I is
+    # [[0, 1], [1, 1]]
+    pytest.param(lambda z: np.array([z[0] + z[1], z[1]]), 1.0,
+                 id="matrix1-1.0"),
 ])
 def test_pullback_non_unitary_matrix_fails_with_its_exact_defect(
         form, matrix, defect):
     result = symplectic_pullback_check(matrix, params_n2(rho=0.4),
                                        reference_form=form, grid=50, seed=1)
-    assert abs(result.extras["symplectic"] - defect) <= 1e-15
+    if callable(matrix):
+        # the central differences of a linear map round, and no more
+        assert abs(result.extras["symplectic"] - defect) <= 1e-10
+    else:
+        assert result.extras["symplectic"] == defect
     assert not result.passed
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_pullback_matrix_defect_matches_finite_differences(n):
     p = LocalModelParams(n=n, rho=0.4, delta=0.2, r=1.0)
-    matrices = [random_unitary(n, seed=30 + n)]
+    diagonals = [random_phases(n, seed=30 + n)]
     if n == 2:
-        matrices.append(np.diag([2.0, 1.0]))
-    for matrix in matrices:
-        result = symplectic_pullback_check(matrix, p, reference_form="standard",
+        diagonals.append(np.array([2.0, 1.0]))
+    for phases in diagonals:
+        result = symplectic_pullback_check(phases, p, reference_form="standard",
                                            grid=40, seed=n)
-        reference = finite_difference_defect(matrix, p, seed=n)
+        reference = finite_difference_defect(phases, p, seed=n)
         assert abs(result.extras["symplectic"] - reference) <= 1e-10
 
 
@@ -589,8 +642,8 @@ def test_pullback_skips_and_counts_points_at_origin():
     p = params_n2(rho=0.4)
     pts = np.array([[0.3 + 0.1j, 0.2j], [1e-9, 0.0], [0.0, 0.0],
                     [0.5, 0.1 - 0.2j]])
-    unitary = random_unitary(2, seed=4)
-    for map_fn in (unitary, lambda z: unitary @ z):
+    phases = random_phases(2, seed=4)
+    for map_fn in (phases, lambda z: phases * z):
         result = symplectic_pullback_check(map_fn, p, grid=pts)
         assert result.samples == 2
         assert result.skipped == 2
@@ -598,7 +651,7 @@ def test_pullback_skips_and_counts_points_at_origin():
 
 
 def test_pullback_that_samples_nothing_fails():
-    result = symplectic_pullback_check(np.eye(2), params_n2(),
+    result = symplectic_pullback_check(np.ones(2), params_n2(),
                                        grid=np.zeros((5, 2), dtype=complex))
     assert (result.samples, result.skipped) == (0, 5)
     assert result.max_deviation == 0.0
@@ -608,8 +661,10 @@ def test_pullback_that_samples_nothing_fails():
 
 
 def test_pullback_rejects_misshapen_matrix():
-    with pytest.raises(ValueError, match="matrix"):
-        symplectic_pullback_check(np.eye(3), params_n2())
+    # a diagonal map of C^2 is a vector of 2 phases, not 3 nor a matrix
+    for misshapen in (np.ones(3), np.eye(2)):
+        with pytest.raises(ValueError, match="diagonal map"):
+            symplectic_pullback_check(misshapen, params_n2())
 
 
 def test_pullback_rejects_unknown_form():
@@ -683,8 +738,8 @@ def test_vector_field_relation_detects_scaled_field(monkeypatch):
 
 # ------------------------------------------- kernel against the complex one
 #
-# The chart kernel scales real rows and builds the Jacobian from two map
-# calls.  These references are the formulation it replaced: one profile
+# The chart kernel scales real rows and builds the Jacobian from one map
+# call.  These references are the formulation it replaced: one profile
 # function returning value and slope, a chart through complex numbers and
 # np.linalg.norm, and one pair of map calls per Jacobian column.  Every
 # output must match them bit for bit.
@@ -767,9 +822,8 @@ def test_map_jacobians_match_per_column_reference_bit_for_bit(n):
     p = LocalModelParams(n=n, rho=0.4, delta=0.2, r=1.0)
     rows = banded_rows(n, p, seed=20 + n)
     matrix = random_unitary(n, seed=n)
-    # a matrix map, the reference that symplectic_pullback_check's exact
-    # matrix defect is tested against, and a per-point callable, the kind
-    # of map that the check still differentiates
+    # a batched linear map and a per-point callable, the kind of map that
+    # symplectic_pullback_check differentiates
     by_matrix = lambda x: _realify(
         (matrix @ _complexify(x)[..., None])[..., 0])
     by_rows = lambda x: _realify(_rows(
@@ -779,7 +833,7 @@ def test_map_jacobians_match_per_column_reference_bit_for_bit(n):
                 == reference_jacobian(real_map, rows).tobytes())
 
 
-def test_jacobian_calls_its_map_twice_into_a_contiguous_array():
+def test_jacobian_calls_its_map_once_into_a_contiguous_array():
     p = LocalModelParams(n=3, rho=0.4, delta=0.2, r=1.0)
     rows = banded_rows(3, p, seed=5)
     batches = []
@@ -789,7 +843,8 @@ def test_jacobian_calls_its_map_twice_into_a_contiguous_array():
         return _chart(x, p)
 
     jac = _jacobian(counting_chart, rows)
-    assert batches == [6 * len(rows)] * 2
+    # the 2n "+step" and the 2n "-step" copies of every row, stacked
+    assert batches == [12 * len(rows)]
     assert jac.shape == (len(rows), 6, 6)
     assert jac.flags.c_contiguous
 
@@ -873,7 +928,7 @@ def test_pullback_nan_map_fails(form):
     result = symplectic_pullback_check(lambda z: z * math.nan, p,
                                        reference_form=form, grid=30, seed=2)
     assert_fails_closed(result)
-    result = symplectic_pullback_check(np.full((2, 2), math.nan), p,
+    result = symplectic_pullback_check(np.full(2, math.nan), p,
                                        reference_form=form, grid=30, seed=2)
     assert_fails_closed(result)
 
@@ -932,7 +987,7 @@ def test_explicit_grid_is_not_cached():
     p = params_n2(rho=0.4)
     pts = np.array([[0.3 + 0.1j, 0.2j], [0.5, 0.1 - 0.2j]])
     local_model._pullback_frame.cache_clear()
-    symplectic_pullback_check(np.eye(2), p, grid=pts)
+    symplectic_pullback_check(np.ones(2), p, grid=pts)
     assert local_model._pullback_frame.cache_info().currsize == 0
     # the grid's own array is left as it was
     pts[0, 0] = 1.0

@@ -80,6 +80,26 @@ def test_lift_rejects_weight_length_mismatch():
         lift_value_circle(CircleLoopSpec(weights=(1,), C=0), M2)
 
 
+@pytest.mark.parametrize("weights", [(1.5, 2.9), (1, "3"), (None, 1),
+                                     (1, 2.0)])
+def test_circle_loop_refuses_weights_that_are_not_integers(weights):
+    # (1.5, 2.9) was read as (1, 2), so order and rank decided on weights
+    # that the caller never gave
+    with pytest.raises(ValueError, match="integers"):
+        CircleLoopSpec(weights=weights)
+
+
+def test_circle_loop_reads_integer_types_as_plain_ints():
+    import numpy as np
+
+    loop = CircleLoopSpec(weights=[np.int64(3), np.uint8(1), True])
+    assert loop.weights == (3, 1, 1)
+    assert all(type(m) is int for m in loop.weights)
+    # a tuple of ints, as a manifest gives it, is kept as it is
+    weights = (1, 2)
+    assert CircleLoopSpec(weights=weights).weights is weights
+
+
 def test_manifold_spec_validation():
     with pytest.raises(ValueError):
         ManifoldSpec(n=1, V=1, a=1)
